@@ -110,9 +110,15 @@ class LogGrid:
 
 
 def y_from_x(x):
-    """Coordinate map y = 2 exp(-x); accepts scalars or arrays."""
-    return 2.0 * np.exp(-np.asarray(x, dtype=float)) if np.ndim(x) else \
-        2.0 * math.exp(-float(x))
+    """Coordinate map y = 2 exp(-x); accepts scalars or arrays.
+
+    Array entries beyond float range map to inf, which the consumers'
+    "y must be positive and finite" checks reject.
+    """
+    if not np.ndim(x):
+        return 2.0 * math.exp(-float(x))
+    with np.errstate(over="ignore"):
+        return 2.0 * np.exp(-np.asarray(x, dtype=float))
 
 
 def x_from_y(y):

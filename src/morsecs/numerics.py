@@ -26,7 +26,6 @@ __all__ = [
     "laguerre_generating_sum",
     "gauss_laguerre_rule",
     "symtridiag_eigen",
-    "matrix_exp",
 ]
 
 _MAX_RULE_POINTS = 512
@@ -234,32 +233,32 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
     return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights)
 
 
-def symtridiag_eigen(t: SymTridiagonal, want_vectors: bool = False):
+# Absolute bisection tolerance: LAPACK's recommended 2 * safe minimum, so
+# each selected eigenvalue is resolved to a few ulp of itself. The default
+# (eps * ||T||) stops at ~7e-8 at order 12800 and can land below the exact
+# level, breaking the Rayleigh-Ritz bound.
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
+
+
+def symtridiag_eigen(t: SymTridiagonal, want_vectors: bool = False,
+                     n_lowest: int | None = None):
     """Eigenvalues (ascending), optionally with orthonormal eigenvectors.
 
-    Returns `values` or `(values, vectors)`; vectors are columns.
+    Returns `values` or `(values, vectors)`; vectors are columns. With
+    `n_lowest` below the order, only the n_lowest smallest eigenpairs are
+    computed, by bisection (LAPACK stebz, then inverse iteration for
+    vectors) at O(order * n_lowest) cost instead of a full solve.
     """
     if not isinstance(t, SymTridiagonal):
         raise DomainError("expected a SymTridiagonal")
-    if want_vectors:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag)
-        return vals, vecs
+    select = {}
+    if n_lowest is not None:
+        n_lowest = int(n_lowest)
+        if not 1 <= n_lowest <= t.order:
+            raise DomainError("n_lowest must lie in [1, order]")
+        if n_lowest < t.order:
+            select = {"select": "i", "select_range": (0, n_lowest - 1),
+                      "tol": _BISECTION_TOL}
     return scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag,
-                                         eigvals_only=True)
-
-
-def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """exp(m) for a square complex matrix (scaling and squaring).
-
-    Anti-Hermitian input produces a unitary result to solver accuracy.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("matrix_exp requires a square matrix")
-    if m.size and not np.isfinite(m).all():
-        raise DomainError("matrix_exp requires finite entries")
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = scipy.linalg.expm(m)
-    if m.size and not np.isfinite(result).all():
-        raise CapabilityError("matrix exponential overflowed float range")
-    return result
+                                         eigvals_only=not want_vectors,
+                                         **select)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .morse_core import bound_state_count, ground_energy
+from .morse_core import ground_energy
 from .numerics import SymTridiagonal, symtridiag_eigen
 
 __all__ = [
@@ -158,7 +158,9 @@ def spectrum(s: float, n: int, n_eigen: int | None = None,
 
     With vectors requested, returns (values, columns). Rayleigh-Ritz gives
     each value as a non-increasing function of n, converging to the true
-    bound energy from above for indices below the bound-state count.
+    bound energy from above for indices below the bound-state count. Fewer
+    than n values are found by index-selected bisection, at a cost linear
+    in n.
     """
     h = matrix_H(s, n)
     if n_eigen is None:
@@ -166,10 +168,8 @@ def spectrum(s: float, n: int, n_eigen: int | None = None,
     n_eigen = int(n_eigen)
     if not 1 <= n_eigen <= h.n:
         raise DomainError("n_eigen must lie in [1, n]")
-    if want_vectors:
-        vals, vecs = symtridiag_eigen(h.matrix, want_vectors=True)
-        return vals[:n_eigen], vecs[:, :n_eigen]
-    return symtridiag_eigen(h.matrix)[:n_eigen]
+    return symtridiag_eigen(h.matrix, want_vectors=want_vectors,
+                            n_lowest=n_eigen)
 
 
 def converged_spectrum(s: float, n_eigen: int, tol: float = 1e-6,

@@ -8,6 +8,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    # A separate interpreter, so that anything written to stderr outside
+    # the CLI's own messages (warnings included) is seen as the user sees it.
+    return subprocess.run([sys.executable, "-m", "morsecs.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
 
 
 def parse_csv(text):
@@ -148,6 +157,16 @@ class TestCoherent:
         code, _, _ = run(capsys, "coherent", "--s", "1.75", "--beta", "zz")
         assert code == 1
 
+    def test_label_beyond_float_range_rejected(self, capsys):
+        # e^x overflows float64 for x > ~709.8.
+        for command in ("coherent", "displace"):
+            code, out, err = run(capsys, command, "--s", "1.75",
+                                 "--x", "800", "--n", "8")
+            assert code == 1, command
+            assert out == ""
+            assert err.startswith("morsecs: ") and err.count("\n") == 1
+            assert "unit disk" in err
+
 
 class TestWavefunction:
     def test_columns_agree_and_diagnostic_on_stderr(self, capsys):
@@ -164,6 +183,16 @@ class TestWavefunction:
             assert abs(float(r[2]) - float(r[4])) < 1e-9
         assert "max |series - closed|" in err
         assert "max |series - closed|" not in out
+
+    def test_overflowing_grid_is_one_line_domain_error(self):
+        # y = 2 e^{-x} overflows at x = -800; the inf is rejected as a
+        # domain error, and no floating-point warning reaches stderr.
+        result = run_process("wavefunction", "--s", "1.75", "--beta", "0.2",
+                             "--grid", "-800:1:3")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("morsecs: ")
+        assert result.stderr.count("\n") == 1, result.stderr
 
 
 class TestResolution:

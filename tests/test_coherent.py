@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from morsecs.coherent import (
     CoherentLabel,
@@ -37,6 +38,7 @@ from morsecs.coherent import (
 from morsecs.errors import ConsistencyError, DomainError, TruncationWarning
 from morsecs.morse_core import ground_x_expectation, pseudo_wavefunction
 from morsecs.numerics import digamma, gauss_laguerre_rule
+from morsecs.operators import matrix_A
 
 
 class TestLabels:
@@ -305,7 +307,33 @@ class TestPhaseSpaceMeasure:
             phase_space_measure_check(0.5, 4)
 
 
+def dense_displacement(ps, s, n, ordering):
+    """The documented product formula, with dense scipy.linalg.expm."""
+    a = matrix_A(s, 0, n).to_dense()
+    ph = phase_factor(from_phase_space(ps, s), s)
+    xt, pt = ps.x_tilde, ps.p_tilde
+    shift = scipy.linalg.expm(0.5 * xt * (a.T - a))
+    if ordering == "xp":
+        boost = scipy.linalg.expm((0.5j / s) * pt * (a + a.T))
+        return ph * cmath.exp(-1j * pt) * (shift @ boost)
+    pe = pt * math.exp(xt)
+    boost = scipy.linalg.expm((0.5j / s) * pe * (a + a.T))
+    return ph * cmath.exp(-1j * pe) * (boost @ shift)
+
+
 class TestDisplacement:
+    def test_matches_dense_matrix_exponentials(self):
+        s = 1.75
+        labels = [PhaseSpaceLabel(0.5, 1.0), PhaseSpaceLabel(-1.2, 7.5),
+                  PhaseSpaceLabel(0.0, -3.0), PhaseSpaceLabel(1.0, 0.0)]
+        for n in (8, 40, 150):
+            for ps in labels:
+                for ordering in ("xp", "px"):
+                    got = displacement_matrix(ps, s, n, ordering=ordering)
+                    want = dense_displacement(ps, s, n, ordering)
+                    dev = np.abs(got - want).max()
+                    assert dev < 1e-12, (n, ps, ordering, dev)
+
     def test_identity_at_origin(self):
         d = displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.75, 8)
         assert np.abs(d - np.eye(8)).max() == 0.0

@@ -13,7 +13,6 @@ from morsecs.numerics import (
     laguerre_generating_sum,
     laguerre_sequence,
     log_gamma,
-    matrix_exp,
     symtridiag_eigen,
 )
 
@@ -226,51 +225,25 @@ class TestSymTridiagEigen:
         resid = np.abs(dense @ vecs - vecs * vals).max()
         assert resid < 1e-10 * scale
 
+    def test_lowest_selection_matches_full_solve(self):
+        rng = np.random.default_rng(5)
+        t = SymTridiagonal(rng.normal(size=40), rng.normal(size=39))
+        vals, vecs = symtridiag_eigen(t, want_vectors=True)
+        for k in (1, 7, 40):
+            assert np.abs(symtridiag_eigen(t, n_lowest=k) - vals[:k]).max() < 1e-13
+            sel_vals, sel_vecs = symtridiag_eigen(t, want_vectors=True,
+                                                  n_lowest=k)
+            assert sel_vecs.shape == (40, k)
+            # Eigenvectors are fixed only up to sign.
+            overlap = np.abs(np.sum(sel_vecs * vecs[:, :k], axis=0))
+            assert np.abs(overlap - 1.0).max() < 1e-12
+
     def test_validation(self):
         with pytest.raises(DomainError):
             SymTridiagonal(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
             symtridiag_eigen(np.eye(3))
-
-
-class TestMatrixExp:
-    def test_zero(self):
-        assert np.array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_diagonal(self):
-        d = np.array([0.5, -1.0, 2.0])
-        got = matrix_exp(np.diag(d))
-        assert np.allclose(got, np.diag(np.exp(d)), rtol=0, atol=1e-14)
-
-    def test_rotation(self):
-        th = 0.7
-        m = np.array([[0.0, -th], [th, 0.0]])
-        want = np.array([[math.cos(th), -math.sin(th)],
-                         [math.sin(th), math.cos(th)]])
-        assert np.abs(matrix_exp(m) - want).max() < 1e-14
-
-    def test_group_law(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        m /= np.abs(m).sum()
-        a, b = 0.7, -0.3
-        lhs = matrix_exp(a * m) @ matrix_exp(b * m)
-        rhs = matrix_exp((a + b) * m)
-        assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_unitary_for_anti_hermitian(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        m = g - g.conj().T
-        u = matrix_exp(m)
-        assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
-
-    def test_overflow_guard(self):
-        with pytest.raises(CapabilityError):
-            matrix_exp(np.diag([1e6, 2e6]))
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            matrix_exp(np.ones((2, 3)))
-        with pytest.raises(DomainError):
-            matrix_exp(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        t = SymTridiagonal(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0]))
+        for bad in (0, 4):
+            with pytest.raises(DomainError):
+                symtridiag_eigen(t, n_lowest=bad)

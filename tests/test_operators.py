@@ -147,6 +147,20 @@ class TestSpectrum:
             r = np.abs(h @ vecs[:, i] - vals[i] * vecs[:, i]).max()
             assert r < 1e-10 * np.abs(h).max(), i
 
+    def test_selected_levels_keep_variational_bound(self):
+        # At this order a bisection stopped at eps * ||T|| (~7e-8) puts
+        # level 1 below its exact value; the selected solve must not.
+        vals = spectrum(3.6, 12800, 4)
+        exact = np.array([bound_energy(k, 3.6) for k in range(4)])
+        assert np.all(vals >= exact - 1e-10)
+        assert abs(vals[0] - exact[0]) <= 1e-12
+
+    def test_selected_levels_match_full_solve(self):
+        for s in (1.75, 3.6, 50.3):
+            k = math.floor(s + 1.0)
+            full = spectrum(s, 3200)
+            assert np.abs(spectrum(s, 3200, k) - full[:k]).max() < 1e-9, s
+
     def test_validation(self):
         with pytest.raises(DomainError):
             spectrum(1.0, 10, 11)
