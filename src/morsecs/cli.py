@@ -73,6 +73,10 @@ def _resolve_label(args, s: float) -> coherent.CoherentLabel:
 
 
 def _cell(value) -> str:
+    # Tables are built from Python scalars (.tolist() columns), so floats
+    # take the first branch.
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -127,7 +131,7 @@ def _cmd_basis(args):
     y = morse_core.y_from_x(x)
     cols = [morse_core.pseudo_wavefunction(n, s, y) for n in range(n_max + 1)]
     header = ["y"] + [f"phi{n}" for n in range(n_max + 1)]
-    rows = [[y[i]] + [c[i] for c in cols] for i in range(count)]
+    rows = list(zip(y.tolist(), *(c.tolist() for c in cols)))
     config = {"command": "basis", "s": s, "n_max": n_max,
               "grid": [lo, hi, count]}
     return _table_output(args, config, header, rows), 0
@@ -178,8 +182,10 @@ def _cmd_coherent(args):
     label = _resolve_label(args, s)
     state = coherent.coefficients(label, s, n)
     header = ["n", "real", "imag", "abs"]
-    rows = [[k, state.coeffs[k].real, state.coeffs[k].imag,
-             abs(state.coeffs[k])] for k in range(n)]
+    # Python's abs of the complex, not np.abs of the array: the latter
+    # differs in the last bit for some coefficients.
+    rows = [[k, c.real, c.imag, abs(c)]
+            for k, c in enumerate(state.coeffs.tolist())]
     config = {"command": "coherent", "s": s, "n": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag}
     return _table_output(args, config, header, rows), 0
@@ -197,8 +203,8 @@ def _cmd_wavefunction(args):
     dev = float(np.abs(ser - clo).max())
     print(f"max |series - closed| = {dev!r}", file=sys.stderr)
     header = ["y", "series_re", "series_im", "closed_re", "closed_im"]
-    rows = [[y[i], ser[i].real, ser[i].imag, clo[i].real, clo[i].imag]
-            for i in range(count)]
+    rows = list(zip(y.tolist(), ser.real.tolist(), ser.imag.tolist(),
+                    clo.real.tolist(), clo.imag.tolist()))
     config = {"command": "wavefunction", "s": s, "n_terms": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag,
               "grid": [lo, hi, count]}

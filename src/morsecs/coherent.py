@@ -25,7 +25,7 @@ import numpy as np
 import scipy.special
 
 from .errors import ConsistencyError, DomainError, TruncationWarning
-from .morse_core import ground_x_expectation, y_from_x
+from .morse_core import _check_s, ground_x_expectation, y_from_x
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
                        log_gamma, symtridiag_eigen)
 
@@ -50,13 +50,6 @@ __all__ = [
     "displacement_matrix",
     "project_onto_basis",
 ]
-
-
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {s!r}")
-    return s
 
 
 @dataclass(frozen=True)
@@ -345,18 +338,6 @@ def _jacobi01_rule(n: int, b: float):
     return nodes, weights
 
 
-def _disk_panel(s: float, m_basis: int, radii: np.ndarray,
-                angles: np.ndarray) -> np.ndarray:
-    # f[n, i, j] = sqrt(C(n+2s-1, n)) (r_i e^{i th_j})^n; the (1-r^2)^s
-    # normalization is cancelled against the measure by the caller.
-    n = np.arange(m_basis)
-    log_b = _log_binom_sqrt(s, m_basis)
-    with np.errstate(under="ignore"):
-        rad = np.exp(log_b[:, None] + n[:, None] * np.log(radii)[None, :])
-    phase = np.exp(1j * n[:, None] * angles[None, :])
-    return rad[:, :, None] * phase[:, None, :]
-
-
 def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
                         n_angular: int = 64) -> np.ndarray:
     """Integral of |beta><beta| over the disk with the invariant measure.
@@ -368,6 +349,12 @@ def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
     u^{2s} / u^2 into the Jacobi weight u^{2s-2} on [0, 1], handled by a
     dedicated Gauss rule. Returns the m_basis x m_basis matrix, which
     converges to pi times the identity.
+
+    Each term b_n b_m r^{n+m} e^{i(m-n) theta} of the product rule splits
+    into a radial and an angular factor, so the double sum is the entrywise
+    product of a radial Gram matrix and an angular Gram matrix. Memory is
+    O(m_basis (n_radial + n_angular) + n_radial^2), the last term for the
+    radial rule's eigenvectors.
     """
     s = _check_s(s)
     if s <= 0.5:
@@ -382,10 +369,17 @@ def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
     u_nodes, u_weights = _jacobi01_rule(n_radial, 2.0 * s - 2.0)
     radii = np.sqrt(1.0 - u_nodes)
     angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    panel = _disk_panel(s, m_basis, radii, angles)
+    n = np.arange(m_basis)
+    # rad[n, i] = sqrt(C(n+2s-1, n)) r_i^n; the (1-r^2)^s normalization is
+    # cancelled against the measure. The angular Gram matrix is summed, not
+    # replaced by its closed form n_angular I, so the check does not assume
+    # the angular rule's exactness.
+    with np.errstate(under="ignore"):
+        rad = np.exp(_log_binom_sqrt(s, m_basis)[:, None]
+                     + n[:, None] * np.log(radii)[None, :])
+    phase = np.exp(1j * n[:, None] * angles[None, :])
     # angle weight 2 pi / n_angular; radial du carries 1/2 from r dr.
-    weighted = panel * u_weights[None, :, None]
-    out = np.einsum("nij,mij->nm", weighted.conj(), panel)
+    out = ((rad * u_weights) @ rad.T) * (phase.conj() @ phase.T)
     out *= (2.0 * s - 1.0) * math.pi / n_angular
     return out
 
@@ -442,6 +436,10 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     return (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * (piece_q + piece_x)
 
 
+# Nodes per block of the phase-space sum.
+_PS_BLOCK = 4096
+
+
 def _ps_node_counts(s: float, m_basis: int, box_x: float, box_q: float,
                     n_x: int | None, n_p: int | None) -> tuple[int, int]:
     # Resolve the fastest angular oscillation (n - m) arg beta at roughly
@@ -487,6 +485,9 @@ def phase_space_measure_check(s: float, m_basis: int,
     box_x, box_q = float(box[0]), float(box[1])
     if box_x <= 0.0 or box_q <= 0.0:
         raise DomainError("box extents must be positive")
+    # The sum takes e^{+-x} at the box edge, which overflows past x ~ 709.8.
+    if not (box_x < 709.0 and math.isfinite(box_q)):
+        raise DomainError("box extents must be finite, with box[0] < 709")
     n_x, n_p = _ps_node_counts(s, m_basis, box_x, box_q, n_x, n_p)
 
     tail = phase_space_tail_estimate(s, m_basis, box)
@@ -505,25 +506,26 @@ def phase_space_measure_check(s: float, m_basis: int,
     w_q[0] *= 0.5
     w_q[-1] *= 0.5
 
-    n = np.arange(m_basis)
-    log_b = _log_binom_sqrt(s, m_basis)
+    b_n = np.exp(_log_binom_sqrt(s, m_basis))[:, None]
     out = np.zeros((m_basis, m_basis), dtype=complex)
-    # Row-by-row accumulation in a fixed order keeps memory flat and the
-    # result independent of any chunking heuristics.
-    for i in range(n_x):
-        w = math.exp(x_nodes[i]) + 1j * q_nodes / s
+    # Whole x rows in blocks of about _PS_BLOCK nodes, accumulated in a
+    # fixed order: memory stays flat, and the block size depends only on
+    # n_p, so the result is a pure function of the arguments.
+    rows = max(1, _PS_BLOCK // n_p)
+    for i0 in range(0, n_x, rows):
+        x = x_nodes[i0:i0 + rows, None]
+        w = (np.exp(x) + 1j * q_nodes / s).ravel()
         beta = (w - 1.0) / (w + 1.0)
         ab = np.abs(beta)
-        log_g = np.log1p(-(ab * ab))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ab = np.where(ab > 0.0, np.log(ab), -np.inf)
-            n_log = n[:, None] * log_ab[None, :]
-        n_log[0, :] = 0.0  # n = 0 contributes |beta|^0 = 1 even at beta = 0
+        # col[k] = (1-|beta|^2)^s beta^k by recurrence, then times b_k.
+        col = np.empty((m_basis, w.size), dtype=complex)
         with np.errstate(under="ignore"):
-            mag = np.exp(s * log_g[None, :] + log_b[:, None] + n_log)
-        col = mag * np.exp(1j * n[:, None] * np.angle(beta)[None, :])
-        weight = w_x[i] * math.exp(-x_nodes[i]) * w_q
-        out += np.einsum("nj,mj,j->nm", col.conj(), col, weight)
+            col[0] = np.exp(s * np.log1p(-(ab * ab)))
+            for k in range(1, m_basis):
+                col[k] = col[k - 1] * beta
+        col *= b_n
+        weight = ((w_x[i0:i0 + rows, None] * np.exp(-x)) * w_q).ravel()
+        out += (col.conj() * weight) @ col.T
     out *= (2.0 * s - 1.0) / (4.0 * s)
     return out
 

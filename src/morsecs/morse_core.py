@@ -112,11 +112,14 @@ class LogGrid:
 def y_from_x(x):
     """Coordinate map y = 2 exp(-x); accepts scalars or arrays.
 
-    Array entries beyond float range map to inf, which the consumers'
-    "y must be positive and finite" checks reject.
+    Inputs beyond float range, scalar or array, map to inf, which the
+    consumers' "y must be positive and finite" checks reject.
     """
     if not np.ndim(x):
-        return 2.0 * math.exp(-float(x))
+        try:
+            return 2.0 * math.exp(-float(x))
+        except OverflowError:
+            return math.inf
     with np.errstate(over="ignore"):
         return 2.0 * np.exp(-np.asarray(x, dtype=float))
 

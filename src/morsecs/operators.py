@@ -11,13 +11,12 @@ canonical commutator inherits it. Those facts are asserted, not hidden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .morse_core import ground_energy
+from .morse_core import _check_s, ground_energy
 from .numerics import SymTridiagonal, symtridiag_eigen
 
 __all__ = [
@@ -32,13 +31,6 @@ __all__ = [
     "converged_spectrum",
     "matrix_element_oracle",
 ]
-
-
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {s!r}")
-    return s
 
 
 @dataclass(frozen=True)

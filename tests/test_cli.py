@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from morsecs.cli import main
+from morsecs import coherent, morse_core
+from morsecs.cli import _csv_table, main
 
 
 def run(capsys, *argv):
@@ -33,6 +34,26 @@ def run_process(*argv):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def numpy_scalar_table(header, rows):
+    """Reference CSV: each cell formatted from a NumPy scalar, one type
+    check after another."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        if isinstance(value, str):
+            return value
+        return repr(float(value))
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
 
 
 class TestBasis:
@@ -249,6 +270,39 @@ class TestVerify:
         header, rows = parse_csv(out)
         assert header == ["property", "residual", "tolerance", "pass"]
         assert all(r[3] in ("true", "false") for r in rows)
+
+
+class TestTables:
+    def test_python_scalars_format_like_numpy_scalars(self):
+        header = ["index", "value", "flag", "name", "blank"]
+        values = np.array([0.1, -0.0, 1.0 / 3.0, 5e-324, 1e-300, 2.5e300,
+                           np.inf, -np.inf, 123456789.125, -7.0])
+        np_rows = [[np.int64(k), v, k % 3 == 0, "a,b", ""]
+                   for k, v in enumerate(values)]
+        py_rows = [[k, v, k % 3 == 0, "a,b", ""]
+                   for k, v in enumerate(values.tolist())]
+        expected = numpy_scalar_table(header, np_rows)
+        assert _csv_table(header, py_rows) == expected
+        assert _csv_table(header, np_rows) == expected
+
+    def test_basis_table_bytes(self, capsys):
+        _, out, _ = run(capsys, "basis", "--s", "2.3", "--n-max", "6",
+                        "--grid", "-1.5:9:301")
+        y = morse_core.y_from_x(np.linspace(-1.5, 9.0, 301))
+        cols = [morse_core.pseudo_wavefunction(n, 2.3, y) for n in range(7)]
+        rows = [[y[i]] + [c[i] for c in cols] for i in range(301)]
+        header = ["y"] + [f"phi{n}" for n in range(7)]
+        assert out == numpy_scalar_table(header, rows)
+
+    def test_coherent_table_bytes(self, capsys):
+        _, out, _ = run(capsys, "coherent", "--s", "1.75",
+                        "--beta", "0.9+0.3i", "--n", "2000")
+        c = coherent.coefficients(0.9 + 0.3j, 1.75, 2000).coeffs
+        rows = [[k, c[k].real, c[k].imag, abs(c[k])] for k in range(2000)]
+        assert out == numpy_scalar_table(["n", "real", "imag", "abs"], rows)
+        # The abs column is the scalar abs of each coefficient, to the bit.
+        _, table = parse_csv(out)
+        assert all(float(r[3]) == float(abs(ck)) for r, ck in zip(table, c))
 
 
 class TestParsing:

@@ -8,14 +8,18 @@ cross-checks with a scheme independent of the implementation under test.
 
 import cmath
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from morsecs.coherent import (
     CoherentLabel,
+    _jacobi01_rule,
     CoherentState,
     PhaseSpaceLabel,
     coefficient_tail_bound,
@@ -258,7 +262,89 @@ class TestExpectations:
             expectation_X(0.3, 1.0)
 
 
+def dense_disk_resolution(s, m, n_radial, n_angular):
+    """The polar product rule summed over the full (n, r, theta) panel.
+
+    It takes the module's radial rule, so only the grouping of the sum
+    differs; with scipy's roots_jacobi in its place the result moves by up
+    to 1.1e-11 at s = 0.75, too much for this comparison."""
+    u, w = _jacobi01_rule(n_radial, 2.0 * s - 2.0)
+    r = np.sqrt(1.0 - u)
+    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
+    n = np.arange(m)
+    binom_sqrt = np.exp(0.5 * (scipy.special.gammaln(n + 2.0 * s)
+                               - scipy.special.gammaln(n + 1.0)
+                               - scipy.special.gammaln(2.0 * s)))
+    z = r[:, None] * np.exp(1j * theta)[None, :]
+    panel = binom_sqrt[:, None, None] * z[None, :, :] ** n[:, None, None]
+    out = np.einsum("nij,mij->nm", (panel * w[None, :, None]).conj(), panel)
+    return (2.0 * s - 1.0) * math.pi / n_angular * out
+
+
+def row_by_row_phase_space(s, m, box, n_x, n_p):
+    """The phase-space sum one x node at a time, each column from exp/log."""
+    x_nodes = np.linspace(-box[0], box[0], n_x)
+    q_nodes = np.linspace(-box[1], box[1], n_p)
+    w_x = np.full(n_x, x_nodes[1] - x_nodes[0])
+    w_x[[0, -1]] *= 0.5
+    w_q = np.full(n_p, q_nodes[1] - q_nodes[0])
+    w_q[[0, -1]] *= 0.5
+    n = np.arange(m)
+    log_b = 0.5 * (scipy.special.gammaln(n + 2.0 * s)
+                   - scipy.special.gammaln(n + 1.0)
+                   - scipy.special.gammaln(2.0 * s))
+    out = np.zeros((m, m), dtype=complex)
+    for i in range(n_x):
+        w = math.exp(x_nodes[i]) + 1j * q_nodes / s
+        beta = (w - 1.0) / (w + 1.0)
+        ab = np.abs(beta)
+        with np.errstate(divide="ignore", under="ignore"):
+            n_log = n[:, None] * np.log(ab)[None, :]
+            n_log[0, :] = 0.0
+            mag = np.exp(s * np.log1p(-ab * ab)[None, :] + log_b[:, None]
+                         + n_log)
+        col = mag * np.exp(1j * n[:, None] * np.angle(beta)[None, :])
+        weight = w_x[i] * math.exp(-x_nodes[i]) * w_q
+        out += (col.conj() * weight) @ col.T
+    return out * (2.0 * s - 1.0) / (4.0 * s)
+
+
+# Regression guard for the former O(m n_radial n_angular) panel: 3 GB for
+# these sizes, so under the cap a panel fails as a MemoryError in the child.
+_CAPPED_RESOLUTION = """
+import math, resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from morsecs.coherent import resolution_of_unity
+tracemalloc.start()
+out = resolution_of_unity(1.75, 400, n_radial=600, n_angular=800)
+peak = tracemalloc.get_traced_memory()[1]
+dev = np.abs(out - math.pi * np.eye(400)).max()
+print(bool(np.isfinite(out).all()), repr(float(dev)), peak)
+"""
+
+
 class TestResolutionOfUnity:
+    @pytest.mark.parametrize("s", [0.75, 1.75, 4.9])
+    @pytest.mark.parametrize("m", [1, 6, 12])
+    @pytest.mark.parametrize("angular", ["2m", 64])
+    def test_matches_dense_panel(self, s, m, angular):
+        n_angular = 2 * m if angular == "2m" else angular
+        out = resolution_of_unity(s, m, n_radial=200, n_angular=n_angular)
+        ref = dense_disk_resolution(s, m, 200, n_angular)
+        assert np.abs(out - ref).max() < 1e-12
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_large_truncation_under_memory_cap(self):
+        result = subprocess.run([sys.executable, "-c", _CAPPED_RESOLUTION],
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        finite, dev, peak = result.stdout.split()
+        assert finite == "True"
+        assert float(dev) < 1e-10
+        assert int(peak) < 64 * 2 ** 20
+
     def test_disk_integral_is_pi_identity(self):
         m = 12
         out = resolution_of_unity(1.75, m, n_radial=200, n_angular=64)
@@ -292,6 +378,21 @@ class TestPhaseSpaceMeasure:
         disk = resolution_of_unity(1.75, 6, n_radial=200, n_angular=64)
         assert np.abs(ps - disk).max() < 1e-4
 
+    @pytest.mark.parametrize("s,m,box,n_x,n_p", [
+        (1.75, 8, (8.0, 80.0), 206, 878),
+        (1.75, 8, (10.0, 200.0), 242, 2101),
+        (0.8, 3, (8.0, 80.0), 104, 575),
+        (4.5, 2, (10.0, 200.0), 89, 177),
+        (1.0, 1, (8.0, 80.0), 80, 100),
+        (1.91, 5, (10.0, 200.0), 30, 5000),  # rows wider than one block
+    ])
+    def test_blocked_sum_matches_row_by_row(self, s, m, box, n_x, n_p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            out = phase_space_measure_check(s, m, box=box, n_x=n_x, n_p=n_p)
+        ref = row_by_row_phase_space(s, m, box, n_x, n_p)
+        assert np.abs(out - ref).max() < 1e-13
+
     def test_small_box_warns(self):
         with pytest.warns(TruncationWarning):
             phase_space_measure_check(1.75, 4, box=(2.0, 5.0),
@@ -305,6 +406,12 @@ class TestPhaseSpaceMeasure:
     def test_measure_divergence_rejected(self):
         with pytest.raises(DomainError):
             phase_space_measure_check(0.5, 4)
+
+    @pytest.mark.parametrize("box", [(800.0, 80.0), (math.nan, 80.0),
+                                     (8.0, math.inf)])
+    def test_box_beyond_float_range_rejected(self, box):
+        with pytest.raises(DomainError):
+            phase_space_measure_check(1.75, 2, box=box, n_x=10, n_p=10)
 
 
 def dense_displacement(ps, s, n, ordering):

@@ -42,6 +42,13 @@ class TestCoordinateMaps:
         with pytest.raises(DomainError):
             x_from_y(-1.0)
 
+    def test_scalar_beyond_float_range_maps_to_inf(self):
+        # Same outcome as the array branch: inf, which consumers reject.
+        y = y_from_x(-800.0)
+        assert y == math.inf
+        with pytest.raises(DomainError):
+            pseudo_wavefunction(0, 1.75, y)
+
 
 class TestShapeParams:
     def test_derived_constants(self):
