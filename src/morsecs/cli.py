@@ -141,8 +141,8 @@ def _cmd_ham(args):
     s = args.s
     n = int(args.n)
     h = operators.matrix_H(s, n)
-    diag = [float(v) for v in h.matrix.diag]
-    off = [float(v) for v in h.matrix.offdiag]
+    diag = [float(v) for v in h.diag]
+    off = [float(v) for v in h.offdiag]
     config = {"command": "ham", "s": s, "n": n}
     if args.format == "json":
         return _json_document(config, {"diagonal": diag,

@@ -22,12 +22,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
-from .errors import ConsistencyError, DomainError, TruncationWarning
-from .morse_core import _check_s, ground_x_expectation, y_from_x
+from .errors import (CapabilityError, ConsistencyError, DomainError,
+                     TruncationWarning)
+from .morse_core import _check_s, _check_y, ground_x_expectation, y_from_x
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
                        log_gamma, symtridiag_eigen)
+from .operators import _band_entries
 
 __all__ = [
     "CoherentLabel",
@@ -108,6 +111,12 @@ def _as_label(label) -> CoherentLabel:
     if isinstance(label, CoherentLabel):
         return label
     return CoherentLabel(label)
+
+
+def _as_ps(ps) -> PhaseSpaceLabel:
+    if isinstance(ps, PhaseSpaceLabel):
+        return ps
+    return PhaseSpaceLabel(*ps)
 
 
 def gen_factorial(n: int, s: float) -> float:
@@ -201,9 +210,7 @@ def wavefunction_series(label, s: float, y, n_terms: int):
     n_terms = int(n_terms)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
-        raise DomainError("y must be positive and finite")
+    y_arr = _check_y(y)
     b = label.beta
     lag = laguerre_sequence(n_terms - 1, 2.0 * s - 1.0, y_arr)
     powers = np.power(b, np.arange(n_terms))
@@ -223,9 +230,7 @@ def wavefunction_closed(label, s: float, y):
     """
     label = _as_label(label)
     s = _check_s(s)
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
-        raise DomainError("y must be positive and finite")
+    y_arr = _check_y(y)
     b = label.beta
     w = _w_of(b)
     const = (_log_prefactor(b, s) - 2.0 * s * cmath.log(1.0 - b))
@@ -245,8 +250,7 @@ def to_phase_space(label, s: float) -> PhaseSpaceLabel:
 
 def from_phase_space(ps: PhaseSpaceLabel, s: float) -> CoherentLabel:
     """Inverse map: w = e^x (1 + i p/s), beta = (w-1)/(w+1)."""
-    if not isinstance(ps, PhaseSpaceLabel):
-        ps = PhaseSpaceLabel(*ps)
+    ps = _as_ps(ps)
     s = _check_s(s)
     try:
         w = math.exp(ps.x_tilde) * (1.0 + 1j * ps.p_tilde / s)
@@ -321,8 +325,6 @@ def expectation_P(label, s: float) -> float:
 def _jacobi01_rule(n: int, b: float):
     """Gauss rule for the weight u^b on [0, 1] (Golub-Welsch, closed-form
     recurrence coefficients of the shifted Jacobi polynomials)."""
-    import scipy.linalg
-
     k = np.arange(n, dtype=float)
     # Recurrence on [-1, 1] for weight (1+t)^b, mapped to [0, 1].
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -530,6 +532,11 @@ def phase_space_measure_check(s: float, m_basis: int,
     return out
 
 
+# Largest displacement order: the operator and its factors are dense, so
+# memory grows as n^2 (a 1.2 GB peak for one call at this order).
+_MAX_DISPLACEMENT_ORDER = 4096
+
+
 def _exp_i(t: SymTridiagonal, theta: float) -> np.ndarray:
     # expm(i theta T) = V e^{i theta Lambda} V^T for T = V Lambda V^T; the
     # zero angle returns the identity exactly.
@@ -559,27 +566,29 @@ def displacement_matrix(ps, s: float, n_dim: int,
     so its exponential is U expm(-i (x/2) T) U^dag, which is real.
 
     D e_0 reproduces the coefficient vector of the corresponding disk
-    label, including its phase.
+    label, including its phase. Orders above _MAX_DISPLACEMENT_ORDER raise
+    CapabilityError before anything is allocated.
     """
-    from .operators import matrix_A
-
-    if not isinstance(ps, PhaseSpaceLabel):
-        ps = PhaseSpaceLabel(*ps)
+    ps = _as_ps(ps)
     s = _check_s(s)
     n_dim = int(n_dim)
     if n_dim < 2:
         raise DomainError("need n_dim >= 2")
+    if n_dim > _MAX_DISPLACEMENT_ORDER:
+        raise CapabilityError(
+            f"displacement order {n_dim} exceeds the supported maximum "
+            f"of {_MAX_DISPLACEMENT_ORDER}")
     if ordering not in ("xp", "px"):
         raise DomainError("ordering must be 'xp' or 'px'")
-    a = matrix_A(s, 0, n_dim)
+    band = _band_entries(s, n_dim)
     ph = phase_factor(from_phase_space(ps, s), s)
     xt = ps.x_tilde
     pb = ps.p_tilde if ordering == "xp" else ps.p_tilde * math.exp(xt)
     # U = diag(i^m), exactly (1j ** m drifts by 1e-13 past m = 100).
     u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_dim) % 4]
-    shift = (u[:, None] * _exp_i(SymTridiagonal(np.zeros(n_dim), a.band),
+    shift = (u[:, None] * _exp_i(SymTridiagonal(np.zeros(n_dim), band),
                                  -0.5 * xt) * u.conj()).real
-    boost = _exp_i(SymTridiagonal(2.0 * a.diag, a.band), 0.5 * pb / s)
+    boost = _exp_i(SymTridiagonal(-2.0 * np.arange(n_dim), band), 0.5 * pb / s)
     d = shift @ boost if ordering == "xp" else boost @ shift
     return ph * cmath.exp(-1j * pb) * d
 

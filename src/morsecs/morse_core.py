@@ -52,6 +52,13 @@ def _check_s(s: float) -> float:
     return s
 
 
+def _check_y(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
+        raise DomainError("y must be positive and finite")
+    return y
+
+
 @dataclass(frozen=True)
 class ShapeParams:
     """The dimensionless shape parameter s > 0 and its derived constants.
@@ -126,9 +133,7 @@ def y_from_x(x):
 
 def x_from_y(y):
     """Inverse map x = ln(2/y) for y > 0."""
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
-        raise DomainError("y must be positive and finite")
+    y_arr = _check_y(y)
     out = math.log(2.0) - np.log(y_arr)
     return float(out) if np.ndim(y) == 0 else out
 
@@ -159,9 +164,7 @@ def pseudo_wavefunction(n: int, s: float, y):
     n = int(n)
     if n < 0:
         raise DomainError("n must be >= 0")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
-        raise DomainError("y must be positive and finite")
+    y_arr = _check_y(y)
     lag = laguerre_sequence(n, 2.0 * s - 1.0, y_arr)[n]
     log_norm = -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
     with np.errstate(under="ignore"):
@@ -186,9 +189,7 @@ def pseudo_wavefunction_recursive(n: int, s: float, y):
     n = int(n)
     if n < 0:
         raise DomainError("n must be >= 0")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0.0) or not np.all(np.isfinite(y_arr)):
-        raise DomainError("y must be positive and finite")
+    y_arr = _check_y(y)
     with np.errstate(under="ignore"):
         u = np.exp(_log_envelope(s, y_arr) - 0.5 * log_gamma(2.0 * s))
     v = (s / y_arr - 0.5) * u

@@ -108,6 +108,13 @@ class SymTridiagonal:
         return m
 
 
+def _check_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise DomainError("alpha must be finite and > -1")
+    return alpha
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0.
 
@@ -141,9 +148,7 @@ def laguerre_sequence(n_max: int, alpha: float, y) -> np.ndarray:
     n_max = int(n_max)
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise DomainError("alpha must be finite and > -1")
+    alpha = _check_alpha(alpha)
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("y must be finite and >= 0")
@@ -166,9 +171,7 @@ def laguerre_generating_sum(w: complex, alpha: float, y) -> complex | np.ndarray
     w = complex(w)
     if abs(w) >= 1.0:
         raise DomainError("generating sum requires |w| < 1")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise DomainError("alpha must be finite and > -1")
+    alpha = _check_alpha(alpha)
     y = np.asarray(y, dtype=float)
     one_minus = 1.0 - w
     val = np.exp(-(alpha + 1.0) * np.log(one_minus) - y * (w / one_minus))
@@ -195,9 +198,7 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
         raise CapabilityError(
             f"rule with {n_points} points exceeds the supported maximum "
             f"of {_MAX_RULE_POINTS}")
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise DomainError("alpha must be finite and > -1")
+    alpha = _check_alpha(alpha)
 
     n = n_points
     k = np.arange(n, dtype=float)

@@ -11,17 +11,14 @@ canonical commutator inherits it. Those facts are asserted, not hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .morse_core import _check_s, ground_energy
+from .morse_core import (LogGrid, _check_s, apply_operator_fd, ground_energy,
+                         pseudo_wavefunction)
 from .numerics import SymTridiagonal, symtridiag_eigen
 
 __all__ = [
-    "BandedOperator",
-    "HamiltonianMatrix",
     "matrix_A",
     "matrix_Adag",
     "matrix_H",
@@ -33,54 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BandedOperator:
-    """N x N matrix with one diagonal and one adjacent band.
-
-    ``band_side`` is "upper" for A(s+k) (the annihilation-type operator,
-    entries at (m, m+1)) and "lower" for its transpose.
-    """
-
-    s: float
-    k: int
-    n: int
-    diag: np.ndarray
-    band: np.ndarray
-    band_side: str
-
-    def __post_init__(self):
-        if self.band_side not in ("upper", "lower"):
-            raise DomainError("band_side must be 'upper' or 'lower'")
-        if len(self.diag) != self.n or len(self.band) != self.n - 1:
-            raise DomainError("band lengths inconsistent with order")
-
-    def to_dense(self) -> np.ndarray:
-        offset = 1 if self.band_side == "upper" else -1
-        return np.diag(self.diag) + np.diag(self.band, offset)
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Symmetric tridiagonal N x N Hamiltonian block plus its parameter."""
-
-    s: float
-    matrix: SymTridiagonal
-
-    @property
-    def n(self) -> int:
-        return self.matrix.order
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.to_dense()
-
-
 def _band_entries(s: float, n: int) -> np.ndarray:
+    # The ladder band b_m = sqrt((m+1)(2s+m)), m < n-1: every matrix of the
+    # algebra (A, Adag, H, the displacement generators) is this band plus a
+    # diagonal in m.
     m = np.arange(n - 1, dtype=float)
     return np.sqrt((m + 1.0) * (2.0 * s + m))
 
 
-def matrix_A(s: float, k: int, n: int) -> BandedOperator:
-    """Annihilation-type operator at shifted parameter s + k.
+def matrix_A(s: float, k: int, n: int) -> np.ndarray:
+    """Annihilation-type operator at shifted parameter s + k, dense.
 
     Entries: (m, m+1) = sqrt((m+1)(2s+m)), (m, m) = -(m - k). The band is
     independent of k; the whole k-dependence is k times the identity, and
@@ -91,20 +50,16 @@ def matrix_A(s: float, k: int, n: int) -> BandedOperator:
     n = int(n)
     if n < 2:
         raise DomainError("need n >= 2")
-    k = int(k)
     m = np.arange(n, dtype=float)
-    return BandedOperator(s=s, k=k, n=n, diag=-(m - k),
-                          band=_band_entries(s, n), band_side="upper")
+    return np.diag(-(m - int(k))) + np.diag(_band_entries(s, n), 1)
 
 
-def matrix_Adag(s: float, k: int, n: int) -> BandedOperator:
+def matrix_Adag(s: float, k: int, n: int) -> np.ndarray:
     """Transpose of matrix_A(s, k, n)."""
-    a = matrix_A(s, k, n)
-    return BandedOperator(s=a.s, k=a.k, n=a.n, diag=a.diag, band=a.band,
-                          band_side="lower")
+    return matrix_A(s, k, n).T
 
 
-def matrix_H(s: float, n: int) -> HamiltonianMatrix:
+def matrix_H(s: float, n: int) -> SymTridiagonal:
     """Hamiltonian block Adag(s) A(s) + E_0(s) I, assembled in closed form.
 
     diag_m = 2 m (m + s - 1/2) + E_0(s); the (m, m+1) coupling is
@@ -121,7 +76,7 @@ def matrix_H(s: float, n: int) -> HamiltonianMatrix:
     m = np.arange(n, dtype=float)
     diag = 2.0 * m * (m + s - 0.5) + ground_energy(s)
     off = -m[:-1] * _band_entries(s, n) + 0.0  # -0.0 -> 0.0 at the head
-    return HamiltonianMatrix(s=s, matrix=SymTridiagonal(diag, off))
+    return SymTridiagonal(diag, off)
 
 
 def commutator(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
@@ -156,11 +111,11 @@ def spectrum(s: float, n: int, n_eigen: int | None = None,
     """
     h = matrix_H(s, n)
     if n_eigen is None:
-        n_eigen = h.n
+        n_eigen = h.order
     n_eigen = int(n_eigen)
-    if not 1 <= n_eigen <= h.n:
+    if not 1 <= n_eigen <= h.order:
         raise DomainError("n_eigen must lie in [1, n]")
-    return symtridiag_eigen(h.matrix, want_vectors=want_vectors,
+    return symtridiag_eigen(h, want_vectors=want_vectors,
                             n_lowest=n_eigen)
 
 
@@ -206,8 +161,6 @@ def matrix_element_oracle(m: int, n: int, op: str, s: float,
     |value_h - value_2h|, an h^2-scaled bracket of the stencil error: a
     coarse grid shows up as a wide bar rather than a silently wrong number.
     """
-    from .morse_core import LogGrid, apply_operator_fd, pseudo_wavefunction
-
     if op not in _ORACLE_OPS:
         raise DomainError(f"unsupported operator code {op!r}")
     m = int(m)

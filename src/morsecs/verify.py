@@ -93,8 +93,8 @@ def _check_fd(quick: bool):
 
 def _check_matrices(quick: bool):
     s, n_dim = 1.75, (40 if quick else 120)
-    a0 = operators.matrix_A(s, 0, n_dim).to_dense()
-    a3 = operators.matrix_A(s, 3, n_dim).to_dense()
+    a0 = operators.matrix_A(s, 0, n_dim)
+    a3 = operators.matrix_A(s, 3, n_dim)
     shift_dev = np.abs(a3 - (a0 + 3.0 * np.eye(n_dim))).max()
     yield _below("parameter shift acts as identity offset", shift_dev, 0.0)
 

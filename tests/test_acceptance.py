@@ -110,11 +110,11 @@ def test_criterion_04_shift_identity_and_commutator():
     n = 32
     worst_comm, worst_corner = 0.0, 0.0
     for s in S_VALUES:
-        a0 = matrix_A(s, 0, n).to_dense()
+        a0 = matrix_A(s, 0, n)
         for k in (-3, 2):
-            shifted = matrix_A(s, k, n).to_dense()
+            shifted = matrix_A(s, k, n)
             assert np.array_equal(shifted, a0 + k * np.eye(n))
-        lhs = commutator(a0, matrix_Adag(s, 0, n).to_dense())
+        lhs = commutator(a0, matrix_Adag(s, 0, n))
         rhs = 2.0 * s * np.eye(n) - (a0 + a0.T)
         diff = np.abs(lhs - rhs)
         corner = diff[n - 1, n - 1]

@@ -226,7 +226,29 @@ class TestResolution:
         assert float(rows[0][3]) < 1e-10
 
 
+# The displacement operator is dense, O(n^2) memory: order 20000 would need
+# more than 10 GB. Under a 1 GiB address-space cap the CLI must refuse it
+# before allocating, with exit 2 and one line.
+_CAPPED_DISPLACE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from morsecs.cli import main
+sys.exit(main(["displace", "--s", "1.75", "--x", "0.5", "--p", "1",
+               "--n", "20000"]))
+"""
+
+
 class TestDisplace:
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_order_beyond_memory_bound_is_one_line_capability_error(self):
+        result = subprocess.run([sys.executable, "-c", _CAPPED_DISPLACE],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.startswith("morsecs: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+
     def test_report_values(self, capsys):
         code, out, _ = run(capsys, "displace", "--s", "1.75",
                            "--x", "0.5", "--p", "1.0", "--n", "300")

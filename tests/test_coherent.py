@@ -18,6 +18,7 @@ import scipy.linalg
 import scipy.special
 
 from morsecs.coherent import (
+    _MAX_DISPLACEMENT_ORDER,
     CoherentLabel,
     _jacobi01_rule,
     CoherentState,
@@ -39,8 +40,10 @@ from morsecs.coherent import (
     wavefunction_closed,
     wavefunction_series,
 )
-from morsecs.errors import ConsistencyError, DomainError, TruncationWarning
-from morsecs.morse_core import ground_x_expectation, pseudo_wavefunction
+from morsecs.errors import (CapabilityError, ConsistencyError, DomainError,
+                            TruncationWarning)
+from morsecs.morse_core import (ground_x_expectation, pseudo_wavefunction,
+                                pseudo_wavefunction_recursive, x_from_y)
 from morsecs.numerics import digamma, gauss_laguerre_rule
 from morsecs.operators import matrix_A
 
@@ -193,6 +196,21 @@ class TestWavefunction:
             wavefunction_closed(0.2, 1.0, -1.0)
         with pytest.raises(DomainError):
             wavefunction_series(0.2, 1.0, np.array([1.0, 0.0]), 50)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", [
+        x_from_y,
+        lambda y: pseudo_wavefunction(2, 1.75, y),
+        lambda y: pseudo_wavefunction_recursive(2, 1.75, y),
+        lambda y: wavefunction_series(0.3, 1.75, y, 20),
+        lambda y: wavefunction_closed(0.3, 1.75, y),
+    ], ids=["x_from_y", "pseudo_wavefunction", "pseudo_wavefunction_recursive",
+            "wavefunction_series", "wavefunction_closed"])
+    def test_y_must_be_positive_and_finite(self, entry, bad):
+        for y in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError,
+                               match="^y must be positive and finite$"):
+                entry(y)
 
 
 class TestPhaseSpaceMaps:
@@ -416,7 +434,7 @@ class TestPhaseSpaceMeasure:
 
 def dense_displacement(ps, s, n, ordering):
     """The documented product formula, with dense scipy.linalg.expm."""
-    a = matrix_A(s, 0, n).to_dense()
+    a = matrix_A(s, 0, n)
     ph = phase_factor(from_phase_space(ps, s), s)
     xt, pt = ps.x_tilde, ps.p_tilde
     shift = scipy.linalg.expm(0.5 * xt * (a.T - a))
@@ -475,6 +493,8 @@ class TestDisplacement:
                                 ordering="northwest")
         with pytest.raises(DomainError):
             displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.0, 1)
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            displacement_matrix((0.5, 1.0), 1.75, _MAX_DISPLACEMENT_ORDER + 1)
 
 
 class TestProjection:

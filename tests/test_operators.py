@@ -20,25 +20,26 @@ from morsecs.operators import (
 class TestLadderMatrices:
     def test_small_block_entries(self):
         a = matrix_A(1.0, 0, 3)
-        assert np.allclose(a.band, [math.sqrt(2.0), math.sqrt(6.0)], atol=1e-15)
-        assert a.diag.tolist() == [0.0, -1.0, -2.0]
+        assert np.allclose(np.diag(a, 1), [math.sqrt(2.0), math.sqrt(6.0)],
+                           atol=1e-15)
+        assert np.diag(a).tolist() == [0.0, -1.0, -2.0]
 
     def test_ground_state_annihilated(self):
-        dense = matrix_A(1.75, 0, 8).to_dense()
+        dense = matrix_A(1.75, 0, 8)
         assert np.all(dense[:, 0] == 0.0)
 
     def test_adjoint_is_transpose(self):
-        a = matrix_A(1.3, 1, 6).to_dense()
-        ad = matrix_Adag(1.3, 1, 6).to_dense()
+        a = matrix_A(1.3, 1, 6)
+        ad = matrix_Adag(1.3, 1, 6)
         assert np.array_equal(ad, a.T)
 
     def test_shift_identity_bit_exact(self):
         # The whole k-dependence is k I; entries are sums of integer-valued
         # floats, so the identity holds with zero rounding error.
-        base = matrix_A(1.75, 0, 40).to_dense()
+        base = matrix_A(1.75, 0, 40)
         eye = np.eye(40)
         for k in range(-3, 4):
-            shifted = matrix_A(1.75, k, 40).to_dense()
+            shifted = matrix_A(1.75, k, 40)
             assert np.array_equal(shifted, base + k * eye), k
 
     def test_validation(self):
@@ -51,13 +52,13 @@ class TestLadderMatrices:
 class TestHamiltonianMatrix:
     def test_small_block_entries(self):
         h = matrix_H(1.0, 3)
-        assert h.matrix.diag.tolist() == [1.25, 4.25, 11.25]
-        assert abs(h.matrix.offdiag[1] + math.sqrt(6.0)) < 1e-15
-        assert h.matrix.offdiag[0] == 0.0
+        assert h.diag.tolist() == [1.25, 4.25, 11.25]
+        assert abs(h.offdiag[1] + math.sqrt(6.0)) < 1e-15
+        assert h.offdiag[0] == 0.0
 
     def test_matches_factorization_product(self):
         s, n = 1.75, 30
-        a = matrix_A(s, 0, n).to_dense()
+        a = matrix_A(s, 0, n)
         dense = a.T @ a + ground_energy(s) * np.eye(n)
         got = matrix_H(s, n).to_dense()
         assert np.abs(got - dense).max() < 1e-12 * np.abs(dense).max()
@@ -78,15 +79,15 @@ class TestCommutators:
         # The two operators differ by a multiple of I, so the commutator is
         # identically zero; what remains is matmul roundoff.
         for m, n in ((0, 0), (1, 3), (-2, 2)):
-            a1 = matrix_A(1.4, m, 12).to_dense()
-            a2 = matrix_A(1.4, n, 12).to_dense()
+            a1 = matrix_A(1.4, m, 12)
+            a2 = matrix_A(1.4, n, 12)
             assert np.abs(commutator(a1, a2)).max() < 1e-12, (m, n)
 
     def _check_canonical(self, s, n, k1, k2):
-        a = matrix_A(s, k1, n).to_dense()
-        ad = matrix_Adag(s, k2, n).to_dense()
+        a = matrix_A(s, k1, n)
+        ad = matrix_Adag(s, k2, n)
         lhs = commutator(a, ad)
-        a0 = matrix_A(s, 0, n).to_dense()
+        a0 = matrix_A(s, 0, n)
         rhs = 2.0 * s * np.eye(n) - (a0 + a0.T)
         diff = np.abs(lhs - rhs)
         corner = diff[n - 1, n - 1]
