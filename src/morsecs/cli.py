@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Output discipline: the report requested by the user goes to stdout (or the
---out file) and nothing else does; convergence notes and other diagnostics
-go to stderr. All floats are rendered with repr, so a rerun with the same
-arguments produces byte-identical output.
+--out file) and nothing else does; diagnostics, and warnings as one line
+each, go to stderr. All floats are rendered with repr, so a rerun with the
+same arguments produces byte-identical output.
 
 Exit codes: 0 success, 1 argument or domain validation error, 2 numerical
-failure (plateau not reached, non-finite result, failed self-check).
+failure (non-finite result, failed self-check, beyond a supported size).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -154,25 +155,18 @@ def _cmd_ham(args):
 
 def _cmd_spectrum(args):
     s = args.s
-    count = morse_core.bound_state_count(s)
+    levels = operators.bound_spectrum(s).tolist()
+    count = len(levels)
     threshold = morse_core.ShapeParams(s).continuum_threshold
     formulas = [morse_core.bound_energy(k, s) for k in range(count)]
-    # Levels close to the continuum converge only algebraically with the
-    # truncation order, so the plateau requirement applies to the deeply
-    # bound ones; the rest are listed at the final order reached.
-    deep = [k for k in range(count) if threshold - formulas[k] > 1.0]
-    n_eigen = max(deep) + 1 if deep else 1
-    vals, order = operators.converged_spectrum(
-        s, n_eigen, tol=args.tol, n_start=args.n, n_max=args.n_max)
-    ritz = operators.spectrum(s, order, count)
-    print(f"plateau reached at truncation order {order} "
-          f"for the lowest {n_eigen} level(s)", file=sys.stderr)
+    route = "bound levels from level-adapted tridiagonal blocks at sigma = s - n"
+    if s == math.floor(s):
+        route += "; the marginal top level is a Ritz value at sigma = 1"
+    print(route, file=sys.stderr)
     header = ["index", "ritz_value", "formula_value", "abs_diff", "threshold"]
-    rows = [[k, float(ritz[k]), formulas[k],
-             abs(float(ritz[k]) - formulas[k]), threshold]
+    rows = [[k, levels[k], formulas[k], abs(levels[k] - formulas[k]), threshold]
             for k in range(count)]
-    config = {"command": "spectrum", "s": s, "order": order,
-              "tol": args.tol, "n_levels": count}
+    config = {"command": "spectrum", "s": s, "n_levels": count}
     return _table_output(args, config, header, rows), 0
 
 
@@ -292,14 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p)
 
     p = sub.add_parser("spectrum",
-                       help="Ritz bound energies with plateau detection")
+                       help="bound energies from level-adapted blocks")
     p.add_argument("--s", type=float, required=True, help="shape parameter")
-    p.add_argument("--n", type=int, default=200,
-                   help="starting truncation order (default 200)")
-    p.add_argument("--n-max", type=int, default=12800,
-                   help="order cap for the doubling search (default 12800)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="plateau tolerance between doublings (default 1e-6)")
     _add_format(p)
 
     p = sub.add_parser("coherent", help="coefficient table of one state")
@@ -364,14 +352,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return exc.code if isinstance(exc.code, int) else 1
-    try:
-        body, code = _COMMANDS[args.command](args)
-    except DomainError as exc:
-        print(f"morsecs: {exc}", file=sys.stderr)
-        return 1
-    except (ConsistencyError, CapabilityError) as exc:
-        print(f"morsecs: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(
+            f"morsecs: warning: {message}", file=sys.stderr)
+        try:
+            body, code = _COMMANDS[args.command](args)
+        except DomainError as exc:
+            print(f"morsecs: {exc}", file=sys.stderr)
+            return 1
+        except (ConsistencyError, CapabilityError) as exc:
+            print(f"morsecs: {exc}", file=sys.stderr)
+            return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)

@@ -1,6 +1,6 @@
 """Truncated matrix representations of the ladder operators and Hamiltonian
-in the pseudo-number basis, the commutation algebra, and the Rayleigh-Ritz
-spectrum.
+in the pseudo-number basis, the commutation algebra, the Rayleigh-Ritz
+spectrum, and the bound spectrum from level-adapted blocks.
 
 Truncation policy: every operator is the leading N x N block of its infinite
 matrix. Adag(s) A(s), the parameter-shift identity, and commutators of
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
-from .morse_core import (LogGrid, _check_s, apply_operator_fd, ground_energy,
-                         pseudo_wavefunction)
+from .errors import CapabilityError, DomainError
+from .morse_core import (LogGrid, _check_s, apply_operator_fd,
+                         bound_state_count, ground_energy, pseudo_wavefunction)
 from .numerics import SymTridiagonal, symtridiag_eigen
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "commutator",
     "corner_defect",
     "spectrum",
-    "converged_spectrum",
+    "bound_spectrum",
     "matrix_element_oracle",
 ]
 
@@ -59,23 +59,27 @@ def matrix_Adag(s: float, k: int, n: int) -> np.ndarray:
     return matrix_A(s, k, n).T
 
 
-def matrix_H(s: float, n: int) -> SymTridiagonal:
-    """Hamiltonian block Adag(s) A(s) + E_0(s) I, assembled in closed form.
+def matrix_H(s: float, n: int, sigma: float | None = None) -> SymTridiagonal:
+    """Hamiltonian block of H(s) = Adag(s) A(s) + E_0(s) I in the basis at
+    parameter sigma (default s), assembled in closed form.
 
-    diag_m = 2 m (m + s - 1/2) + E_0(s); the (m, m+1) coupling is
-    -m sqrt((m+1)(2s+m)), so the (0, 1) entry is exactly zero and the
-    truncated matrix has e_0 as an exact eigenvector with eigenvalue E_0.
-    The product Adag A closes within the block, so this equals the leading
-    block of the infinite matrix with no truncation error, and it is
-    exactly symmetric by construction.
+    With d = s - sigma, H(s) = H(sigma) + d (s + sigma + 1) I - d Y_sigma,
+    Y_sigma the Laguerre Jacobi matrix (diagonal 2m + 2 sigma, couplings
+    -b_m(sigma)), so the (m, m+1) coupling is (d - m) b_m(sigma) and the
+    block is tridiagonal, exactly symmetric, and the leading block of the
+    infinite matrix. At sigma = s the (0, 1) entry is exactly zero, so e_0
+    is an exact eigenvector with eigenvalue E_0.
     """
     s = _check_s(s)
+    sigma = s if sigma is None else _check_s(sigma)
     n = int(n)
     if n < 2:
         raise DomainError("need n >= 2")
     m = np.arange(n, dtype=float)
-    diag = 2.0 * m * (m + s - 0.5) + ground_energy(s)
-    off = -m[:-1] * _band_entries(s, n) + 0.0  # -0.0 -> 0.0 at the head
+    d = s - sigma
+    diag = (2.0 * m * (m + sigma - 0.5) + ground_energy(sigma)
+            + d * (s + sigma + 1.0 - 2.0 * (m + sigma)))
+    off = (d - m[:-1]) * _band_entries(sigma, n) + 0.0  # -0.0 -> 0.0 at the head
     return SymTridiagonal(diag, off)
 
 
@@ -119,31 +123,34 @@ def spectrum(s: float, n: int, n_eigen: int | None = None,
                             n_lowest=n_eigen)
 
 
-def converged_spectrum(s: float, n_eigen: int, tol: float = 1e-6,
-                       n_start: int = 200, n_max: int = 12800):
-    """Ritz values after plateau detection under dimension doubling.
+_MAX_BOUND_LEVELS = 512  # one full solve per level: O(count^3) in all
 
-    Doubles the truncation order until every requested eigenvalue moves by
-    less than `tol` between consecutive orders, then returns
-    (values, order). Raises if the plateau is not reached by `n_max`;
-    eigenvalue indices at or beyond the bound-state count generally sink
-    toward the continuum threshold instead of converging, so callers should
-    keep n_eigen within the discrete spectrum for tight tolerances.
+
+def bound_spectrum(s: float) -> np.ndarray:
+    """Every bound energy of H(s), ascending: levels n < floor(s + 1).
+
+    Shape invariance puts psi_0 .. psi_n of H(s) inside the first n + 1
+    basis states at sigma = s - n, where the (n, n+1) coupling vanishes, so
+    level n is value n of the order-(n + 2) block there, exact up to
+    rounding; level 0 is s + 1/4 to the bit. For integer s the top level
+    has no basis at sigma = 0: it is a Ritz value of the order-200 block at
+    sigma = 1, above the threshold.
     """
     s = _check_s(s)
-    n_eigen = int(n_eigen)
-    if n_eigen < 1:
-        raise DomainError("n_eigen must be >= 1")
-    n = max(int(n_start), n_eigen, 2)
-    prev = spectrum(s, n, n_eigen)
-    while 2 * n <= int(n_max):
-        n *= 2
-        vals = spectrum(s, n, n_eigen)
-        if np.abs(vals - prev).max() < tol:
-            return vals, n
-        prev = vals
-    raise ConsistencyError(
-        f"Ritz values still moving more than {tol} at order {n}")
+    count = bound_state_count(s)
+    if count > _MAX_BOUND_LEVELS:
+        raise CapabilityError(
+            f"{count} bound levels exceed the supported maximum "
+            f"of {_MAX_BOUND_LEVELS}")
+    levels = np.empty(count)
+    for n in range(count):
+        sigma = s - n
+        if sigma > 0.0:
+            levels[n] = symtridiag_eigen(matrix_H(s, n + 2, sigma))[n]
+        else:
+            h = matrix_H(s, max(200, n + 2), 1.0)
+            levels[n] = symtridiag_eigen(h, n_lowest=n + 1)[n]
+    return levels
 
 
 _ORACLE_OPS = ("A", "Adag", "H")

@@ -130,14 +130,41 @@ class TestSpectrum:
         assert float(rows[0][1]) == 3.85
         assert float(rows[0][3]) < 1e-12
         assert all(float(r[4]) == 16.81 for r in rows)
-        assert "plateau reached" in err
+        assert "level-adapted" in err
 
-    def test_plateau_failure_exits_2(self, capsys):
-        code, out, err = run(capsys, "spectrum", "--s", "3.6",
-                             "--tol", "1e-14", "--n-max", "400")
+    def test_deep_well_lists_every_level(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--s", "50.3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 51
+        for k, r in enumerate(rows):
+            formula = morse_core.bound_energy(k, 50.3)
+            assert float(r[2]) == formula
+            assert abs(float(r[1]) - formula) <= 1e-14 * max(1.0, formula), k
+
+    def test_integer_shape_warning_is_one_line(self):
+        result = run_process("spectrum", "--s", "3")
+        assert result.returncode == 0, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith("morsecs: warning: s = 3.0 is an integer")
+        assert "level-adapted" in lines[1]
+        assert len(lines) == 2, result.stderr
+        _, rows = parse_csv(result.stdout)
+        assert len(rows) == 4
+
+    def test_level_bound_is_one_line_capability_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--s", "512.5")
         assert code == 2
         assert out == ""
-        assert "still moving" in err
+        assert err == ("morsecs: 513 bound levels exceed the supported "
+                       "maximum of 512\n")
+
+    def test_search_options_removed(self, capsys):
+        for opt in ("--n", "--n-max", "--tol"):
+            code, out, err = run(capsys, "spectrum", "--s", "3.6", opt, "1")
+            assert code == 1, opt
+            assert out == ""
+            assert "unrecognized arguments" in err
 
 
 class TestCoherent:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from morsecs.errors import ConsistencyError, DomainError
+from morsecs import operators
+from morsecs.errors import CapabilityError, DomainError, MarginalStateWarning
 from morsecs.morse_core import bound_energy, ground_energy
 from morsecs.operators import (
+    bound_spectrum,
     commutator,
-    converged_spectrum,
     corner_defect,
     matrix_A,
     matrix_Adag,
@@ -127,19 +128,73 @@ class TestSpectrum:
         vals = spectrum(1.75, 300)
         assert vals.min() >= ground_energy(1.75) - 1e-10
 
-    def test_plateau_values_match_bound_energies(self):
-        vals, order = converged_spectrum(3.6, 3, tol=1e-6)
-        for i in range(3):
-            assert abs(vals[i] - bound_energy(i, 3.6)) < 1e-3, i
-        assert order <= 12800
+    def test_bound_levels_match_bound_energies(self):
+        for s in (0.3, 1.75, 3.6, 12.3, 50.3):
+            vals = bound_spectrum(s)
+            assert len(vals) == math.floor(s + 1.0)
+            for k, v in enumerate(vals):
+                e = bound_energy(k, s)
+                assert abs(v - e) <= 1e-14 * e, (s, k)
+            assert vals[0] == s + 0.25
 
     def test_near_threshold_state(self):
         vals = spectrum(3.6, 1600, 4)
         assert abs(vals[3] - bound_energy(3, 3.6)) < 5e-2
 
-    def test_plateau_failure_raises(self):
-        with pytest.raises(ConsistencyError):
-            converged_spectrum(3.6, 4, tol=1e-12, n_start=50, n_max=200)
+    def test_sigma_route_brackets_ritz(self):
+        # Two independent routes. Ritz on the order-3200 block at sigma = s
+        # is variational, so no level lies below the level-adapted value;
+        # levels more than 2 below the threshold have converged to 1e-3
+        # (nearer the threshold Ritz converges only algebraically: at
+        # s = 12.3 level 11, 1.69 below, is still 0.067 above).
+        for s in (1.75, 3.6, 12.3):
+            exact = bound_spectrum(s)
+            ritz = spectrum(s, 3200, len(exact))
+            threshold = (s + 0.5) ** 2
+            for n, e in enumerate(exact):
+                assert ritz[n] >= e - 1e-10, (s, n)
+                if threshold - e > 2.0:
+                    assert ritz[n] <= e + 1e-3, (s, n)
+
+    def test_integer_shape_levels(self):
+        with pytest.warns(MarginalStateWarning):
+            vals = bound_spectrum(3)
+        assert len(vals) == 4
+        for k in range(3):
+            assert abs(vals[k] - bound_energy(k, 3.0)) <= 1e-14 * vals[k], k
+        assert vals[0] == 3.25
+        # The marginal level is a Ritz value just above the threshold.
+        assert 0.0 < vals[3] - 3.5 ** 2 < 0.2
+
+    def test_near_integer_shapes(self):
+        for s in (np.nextafter(3.0, 4.0), np.nextafter(3.0, 0.0),
+                  199.99999999):
+            vals = bound_spectrum(float(s))
+            assert len(vals) == math.floor(s + 1.0)
+            for k, v in enumerate(vals):
+                e = bound_energy(k, float(s))
+                assert abs(v - e) <= 1e-14 * e, (s, k)
+
+    def test_level_bound(self, monkeypatch):
+        with pytest.warns(MarginalStateWarning):
+            vals = bound_spectrum(200)
+        assert len(vals) == 201
+        assert vals[200] > 200.5 ** 2
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            bound_spectrum(512.5)
+        # The bound admits exactly _MAX_BOUND_LEVELS levels.
+        monkeypatch.setattr(operators, "_MAX_BOUND_LEVELS", 4)
+        assert len(bound_spectrum(3.6)) == 4
+        with pytest.raises(CapabilityError):
+            bound_spectrum(4.2)
+
+    def test_sigma_block_decouples_level(self):
+        # At sigma = s - n the (n, n+1) coupling is exactly zero.
+        for s in (1.75, 12.3):
+            for n in range(math.floor(s + 1.0)):
+                assert matrix_H(s, n + 2, s - n).offdiag[n] == 0.0
+        with pytest.raises(DomainError):
+            matrix_H(1.75, 4, sigma=0.0)
 
     def test_ritz_vector_residual(self):
         vals, vecs = spectrum(1.75, 120, 2, want_vectors=True)

@@ -18,6 +18,8 @@ from morsecs.coherent import (
     overlap,
     to_phase_space,
 )
+from morsecs.morse_core import bound_energy
+from morsecs.operators import _band_entries, bound_spectrum, matrix_H
 
 _SETTINGS = settings(derandomize=True, max_examples=50, deadline=None)
 
@@ -51,3 +53,32 @@ def test_overlap_matches_coefficient_series(s, b1, b2):
     c2 = coefficients(b2, s, n).coeffs
     series = complex(np.add.reduce(c1.conj() * c2))
     assert abs(series - overlap(b1, b2, s)) < 1e-11
+
+
+deep_shape = st.floats(min_value=0.05, max_value=200.0,
+                       exclude_min=True).filter(lambda s: s != math.floor(s))
+
+
+@_SETTINGS
+@given(s=deep_shape)
+def test_bound_spectrum_matches_formula(s):
+    vals = bound_spectrum(s)
+    assert len(vals) == math.floor(s + 1.0)
+    assert vals[0] == s + 0.25
+    for k, v in enumerate(vals):
+        e = bound_energy(k, s)
+        assert abs(v - e) <= 1e-14 * e, k
+
+
+@_SETTINGS
+@given(s=st.floats(min_value=0.05, max_value=200.0),
+       n=st.integers(min_value=2, max_value=400))
+def test_default_sigma_keeps_closed_form_bits(s, n):
+    # The closed form before sigma existed: diag 2m(m + s - 1/2) + s + 1/4,
+    # coupling -m sqrt((m+1)(2s+m)).
+    m = np.arange(n, dtype=float)
+    diag = 2.0 * m * (m + s - 0.5) + (s + 0.25)
+    off = -m[:-1] * _band_entries(s, n) + 0.0
+    for h in (matrix_H(s, n), matrix_H(s, n, sigma=s)):
+        assert h.diag.tobytes() == diag.tobytes()
+        assert h.offdiag.tobytes() == off.tobytes()
