@@ -223,11 +223,10 @@ def _cmd_displace(args):
     n = int(args.n)
     label = _resolve_label(args, s)
     ps = coherent.to_phase_space(label, s)
-    d_xp = coherent.displacement_matrix(ps, s, n, ordering="xp")
+    d_xp, d_px = coherent.displacement_matrix(ps, s, n)
     unit = float(np.abs(d_xp.conj().T @ d_xp - np.eye(n)).max())
     target = coherent.coefficients(label, s, n).coeffs
     fidelity = float(abs(np.vdot(target, d_xp[:, 0])))
-    d_px = coherent.displacement_matrix(ps, s, n, ordering="px")
     k = n // 3
     ordering_dev = float(np.abs((d_xp - d_px)[:k, :k]).max())
     header = ["n", "unitarity_deviation", "fidelity", "ordering_deviation"]

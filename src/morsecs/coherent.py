@@ -533,37 +533,37 @@ def phase_space_measure_check(s: float, m_basis: int,
 
 
 # Largest displacement order: the operator and its factors are dense, so
-# memory grows as n^2 (a 1.2 GB peak for one call at this order).
+# memory grows as n^2 (a 1.34 GB peak for one call at this order).
 _MAX_DISPLACEMENT_ORDER = 4096
 
 
-def _exp_i(t: SymTridiagonal, theta: float) -> np.ndarray:
-    # expm(i theta T) = V e^{i theta Lambda} V^T for T = V Lambda V^T; the
-    # zero angle returns the identity exactly.
-    if theta == 0.0:
-        return np.eye(t.order)
-    vals, vecs = symtridiag_eigen(t, want_vectors=True)
-    return (vecs * np.exp(1j * theta * vals)) @ vecs.T
+def _exp_i(t: SymTridiagonal, *thetas: float):
+    # expm(i theta T) per angle, from one eigendecomposition; exact I at 0.
+    eig = None
+    for theta in thetas:
+        if theta == 0.0:
+            yield np.eye(t.order)
+            continue
+        vals, vecs = eig = eig or symtridiag_eigen(t, want_vectors=True)
+        yield (vecs * np.exp(1j * theta * vals)) @ vecs.T
 
 
-def displacement_matrix(ps, s: float, n_dim: int,
-                        ordering: str = "xp") -> np.ndarray:
-    """Unitary displacement operator on the n_dim-truncated basis.
+def displacement_matrix(ps, s: float, n_dim: int):
+    """Unitary displacement operator on the n_dim-truncated basis in both
+    factor orderings, returned as the pair (d_xp, d_px):
+        d_xp = e^{-i phi} e^{-i p} expm((x/2)(Adag - A)) expm((i/(2s)) p (A + Adag)),
+    and d_px applies the factors the other way around with the matching
+    phase e^{-i p e^{x}} and argument p e^{x}. (Adag - A) is real
+    antisymmetric and i (A + Adag) anti-Hermitian, so every factor is
+    unitary; the orderings agree up to truncation effects and exist so that
+    agreement can be tested rather than assumed.
 
-    Default "xp" ordering:
-        D = e^{-i phi} e^{-i p} expm((x/2)(Adag - A)) expm((i/(2s)) p (A + Adag)).
-    (Adag - A) is real antisymmetric and i (A + Adag) anti-Hermitian, so
-    both factors are unitary. The "px" ordering applies the factors the
-    other way around with the matching phase e^{-i p e^{x}} and argument
-    p e^{x}; the two orderings produce the same operator up to truncation
-    effects and exist so that agreement can be tested rather than assumed.
-
-    Both generators are tridiagonal, and each factor is built from one
-    symmetric tridiagonal eigendecomposition instead of a dense matrix
-    exponential. A + Adag is real symmetric (diagonal -2m, off-diagonal
-    b_m = sqrt((m+1)(2s+m))). Adag - A = -i U T U^dag with U = diag(i^m)
-    and T the symmetric matrix with zero diagonal and off-diagonal b_m,
-    so its exponential is U expm(-i (x/2) T) U^dag, which is real.
+    Each generator is tridiagonal and diagonalized once for both orderings,
+    instead of taking dense matrix exponentials. A + Adag is real symmetric
+    (diagonal -2m, off-diagonal b_m = sqrt((m+1)(2s+m))). Adag - A =
+    -i U T U^dag with U = diag(i^m) and T the symmetric matrix with zero
+    diagonal and off-diagonal b_m, so the shift factor U expm(-i (x/2) T)
+    U^dag is real and shared by both orderings.
 
     D e_0 reproduces the coefficient vector of the corresponding disk
     label, including its phase. Orders above _MAX_DISPLACEMENT_ORDER raise
@@ -578,27 +578,30 @@ def displacement_matrix(ps, s: float, n_dim: int,
         raise CapabilityError(
             f"displacement order {n_dim} exceeds the supported maximum "
             f"of {_MAX_DISPLACEMENT_ORDER}")
-    if ordering not in ("xp", "px"):
-        raise DomainError("ordering must be 'xp' or 'px'")
     band = _band_entries(s, n_dim)
     ph = phase_factor(from_phase_space(ps, s), s)
-    xt = ps.x_tilde
-    pb = ps.p_tilde if ordering == "xp" else ps.p_tilde * math.exp(xt)
+    xt, pt = ps.x_tilde, ps.p_tilde
+    pe = pt * math.exp(xt)
     # U = diag(i^m), exactly (1j ** m drifts by 1e-13 past m = 100).
     u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_dim) % 4]
-    shift = (u[:, None] * _exp_i(SymTridiagonal(np.zeros(n_dim), band),
-                                 -0.5 * xt) * u.conj()).real
-    boost = _exp_i(SymTridiagonal(-2.0 * np.arange(n_dim), band), 0.5 * pb / s)
-    d = shift @ boost if ordering == "xp" else boost @ shift
-    return ph * cmath.exp(-1j * pb) * d
+    # A contiguous real copy: a .real view keeps its complex parent alive.
+    shift = np.ascontiguousarray((u[:, None] * next(_exp_i(
+        SymTridiagonal(np.zeros(n_dim), band), -0.5 * xt)) * u.conj()).real)
+    boosts = _exp_i(SymTridiagonal(-2.0 * np.arange(n_dim), band),
+                    0.5 * pt / s, 0.5 * pe / s)
+    # Name products before scaling: in-place scaling of temporaries moves bits.
+    d_xp = shift @ next(boosts)
+    d_xp = ph * cmath.exp(-1j * pt) * d_xp
+    d_px = next(boosts) @ shift
+    return d_xp, ph * cmath.exp(-1j * pe) * d_px
 
 
 def project_onto_basis(wavefunction, s: float, n_terms: int,
                        rule=None) -> np.ndarray:
     """Coefficients <n|f> = integral phi_n(y) f(y) dy/y for n < n_terms.
 
-    `wavefunction` is a callable of y. The integral runs over the rule's
-    nodes; nodes whose weights have underflowed to zero are skipped so the
+    `wavefunction` is a callable of an array of y, called once on the rule's
+    nodes; nodes whose weights have underflowed to zero are left out so the
     callable is never evaluated where it cannot contribute.
     """
     s = _check_s(s)
@@ -610,7 +613,9 @@ def project_onto_basis(wavefunction, s: float, n_terms: int,
     live = rule.weights > 0.0
     y = rule.nodes[live]
     w = rule.weights[live]
-    f_vals = np.asarray([complex(wavefunction(float(yj))) for yj in y])
+    f_vals = np.asarray(wavefunction(y), dtype=complex)
+    if f_vals.shape != y.shape:
+        raise DomainError("the wavefunction must return one value per node")
     # The rule's weight already carries y^{2s-1} e^{-y}; divide the basis
     # envelope and the measure's 1/y out of the integrand.
     lag = laguerre_sequence(n_terms - 1, 2.0 * s - 1.0, y)

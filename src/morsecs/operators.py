@@ -103,15 +103,13 @@ def corner_defect(s: float, n: int) -> float:
     return float(n) * (2.0 * s + n - 1.0)
 
 
-def spectrum(s: float, n: int, n_eigen: int | None = None,
-             want_vectors: bool = False):
+def spectrum(s: float, n: int, n_eigen: int | None = None) -> np.ndarray:
     """Lowest Ritz eigenvalues of the order-n Hamiltonian block, ascending.
 
-    With vectors requested, returns (values, columns). Rayleigh-Ritz gives
-    each value as a non-increasing function of n, converging to the true
-    bound energy from above for indices below the bound-state count. Fewer
-    than n values are found by index-selected bisection, at a cost linear
-    in n.
+    Rayleigh-Ritz gives each value as a non-increasing function of n,
+    converging to the true bound energy from above for indices below the
+    bound-state count. Fewer than n values are found by index-selected
+    bisection, at a cost linear in n.
     """
     h = matrix_H(s, n)
     if n_eigen is None:
@@ -119,8 +117,7 @@ def spectrum(s: float, n: int, n_eigen: int | None = None,
     n_eigen = int(n_eigen)
     if not 1 <= n_eigen <= h.order:
         raise DomainError("n_eigen must lie in [1, n]")
-    return symtridiag_eigen(h, want_vectors=want_vectors,
-                            n_lowest=n_eigen)
+    return symtridiag_eigen(h, n_lowest=n_eigen)
 
 
 _MAX_BOUND_LEVELS = 512  # one full solve per level: O(count^3) in all
@@ -133,8 +130,8 @@ def bound_spectrum(s: float) -> np.ndarray:
     basis states at sigma = s - n, where the (n, n+1) coupling vanishes, so
     level n is value n of the order-(n + 2) block there, exact up to
     rounding; level 0 is s + 1/4 to the bit. For integer s the top level
-    has no basis at sigma = 0: it is a Ritz value of the order-200 block at
-    sigma = 1, above the threshold.
+    has no basis at sigma = 0: it is a Ritz value at sigma = 1, of order
+    max(200, 16 (n + 2)), above the threshold (by at most 0.26 for s < 512).
     """
     s = _check_s(s)
     count = bound_state_count(s)
@@ -148,7 +145,7 @@ def bound_spectrum(s: float) -> np.ndarray:
         if sigma > 0.0:
             levels[n] = symtridiag_eigen(matrix_H(s, n + 2, sigma))[n]
         else:
-            h = matrix_H(s, max(200, n + 2), 1.0)
+            h = matrix_H(s, max(200, 16 * (n + 2)), 1.0)
             levels[n] = symtridiag_eigen(h, n_lowest=n + 1)[n]
     return levels
 

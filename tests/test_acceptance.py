@@ -256,13 +256,12 @@ def test_criterion_11_displacement_operator():
     worst_unit, worst_fid_gap, worst_ord = 0.0, 0.0, 0.0
     for beta in (0.5, -0.5, 0.35j, 0.3 + 0.4j):
         ps = to_phase_space(beta, s)
-        d_xp = displacement_matrix(ps, s, n, ordering="xp")
+        d_xp, d_px = displacement_matrix(ps, s, n)
         worst_unit = max(worst_unit, float(
             np.abs(d_xp.conj().T @ d_xp - eye).max()))
         target = coefficients(beta, s, n).coeffs
         fid = float(abs(np.vdot(target, d_xp[:, 0])))
         worst_fid_gap = max(worst_fid_gap, 1.0 - fid)
-        d_px = displacement_matrix(ps, s, n, ordering="px")
         k = n // 2
         worst_ord = max(worst_ord, float(np.abs((d_xp - d_px)[:k, :k]).max()))
     report(11, f"unitarity {worst_unit:.3e} (tol 1e-10), fidelity gap "

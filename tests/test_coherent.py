@@ -10,6 +10,7 @@ import cmath
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -44,8 +45,9 @@ from morsecs.errors import (CapabilityError, ConsistencyError, DomainError,
                             TruncationWarning)
 from morsecs.morse_core import (ground_x_expectation, pseudo_wavefunction,
                                 pseudo_wavefunction_recursive, x_from_y)
-from morsecs.numerics import digamma, gauss_laguerre_rule
-from morsecs.operators import matrix_A
+from morsecs.numerics import (SymTridiagonal, digamma, gauss_laguerre_rule,
+                              symtridiag_eigen)
+from morsecs.operators import _band_entries, matrix_A
 
 
 class TestLabels:
@@ -446,6 +448,28 @@ def dense_displacement(ps, s, n, ordering):
     return ph * cmath.exp(-1j * pe) * (boost @ shift)
 
 
+def per_ordering_displacement(ps, s, n, ordering):
+    """One ordering at a time, each factor from its own eigendecomposition:
+    the construction the pair returned by displacement_matrix must match
+    bit for bit."""
+    def exp_i(t, theta):
+        if theta == 0.0:
+            return np.eye(t.order)
+        vals, vecs = symtridiag_eigen(t, want_vectors=True)
+        return (vecs * np.exp(1j * theta * vals)) @ vecs.T
+
+    band = _band_entries(s, n)
+    ph = phase_factor(from_phase_space(ps, s), s)
+    xt = ps.x_tilde
+    pb = ps.p_tilde if ordering == "xp" else ps.p_tilde * math.exp(xt)
+    u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n) % 4]
+    shift = (u[:, None] * exp_i(SymTridiagonal(np.zeros(n), band), -0.5 * xt)
+             * u.conj()).real
+    boost = exp_i(SymTridiagonal(-2.0 * np.arange(n), band), 0.5 * pb / s)
+    d = shift @ boost if ordering == "xp" else boost @ shift
+    return ph * cmath.exp(-1j * pb) * d
+
+
 class TestDisplacement:
     def test_matches_dense_matrix_exponentials(self):
         s = 1.75
@@ -453,27 +477,50 @@ class TestDisplacement:
                   PhaseSpaceLabel(0.0, -3.0), PhaseSpaceLabel(1.0, 0.0)]
         for n in (8, 40, 150):
             for ps in labels:
-                for ordering in ("xp", "px"):
-                    got = displacement_matrix(ps, s, n, ordering=ordering)
+                pair = displacement_matrix(ps, s, n)
+                for ordering, got in zip(("xp", "px"), pair):
                     want = dense_displacement(ps, s, n, ordering)
                     dev = np.abs(got - want).max()
                     assert dev < 1e-12, (n, ps, ordering, dev)
 
+    @pytest.mark.parametrize("n", [150, 300, 450])
+    def test_pair_matches_per_ordering_construction_bitwise(self, n):
+        # Above 256 KiB NumPy scales an unnamed temporary in place, which
+        # rounds differently; these orders are all past that size.
+        for s, ps in ((1.75, PhaseSpaceLabel(0.5, 1.0)),
+                      (0.1, PhaseSpaceLabel(3.0, 50.0)),
+                      (4.2, PhaseSpaceLabel(-1.3, -6.0)),
+                      (1.75, PhaseSpaceLabel(0.0, 2.0)),
+                      (1.75, PhaseSpaceLabel(-0.7, 0.0)),
+                      (1.75, PhaseSpaceLabel(0.0, 0.0))):
+            pair = displacement_matrix(ps, s, n)
+            for ordering, got in zip(("xp", "px"), pair):
+                want = per_ordering_displacement(ps, s, n, ordering)
+                assert got.tobytes() == want.tobytes(), (n, s, ps, ordering)
+
+    def test_peak_memory_for_both_orderings(self):
+        n = 1024
+        tracemalloc.start()
+        try:
+            displacement_matrix((0.5, 1.0), 1.75, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.25 * 16 * n * n
+
     def test_identity_at_origin(self):
-        d = displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.75, 8)
-        assert np.abs(d - np.eye(8)).max() == 0.0
+        for d in displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.75, 8):
+            assert np.abs(d - np.eye(8)).max() == 0.0
 
     def test_unitarity(self):
         n = 200
-        for ordering in ("xp", "px"):
-            d = displacement_matrix(PhaseSpaceLabel(0.5, 1.0), 1.75, n,
-                                    ordering=ordering)
+        for d in displacement_matrix(PhaseSpaceLabel(0.5, 1.0), 1.75, n):
             assert np.abs(d.conj().T @ d - np.eye(n)).max() < 1e-10
 
     def test_generates_coherent_state_with_phase(self):
         s, n = 1.75, 300
         ps = PhaseSpaceLabel(0.5, 1.0)
-        d = displacement_matrix(ps, s, n)
+        d, _ = displacement_matrix(ps, s, n)
         want = coefficients(from_phase_space(ps, s), s, n).coeffs
         assert np.abs(d[:, 0] - want).max() < 1e-12
 
@@ -482,15 +529,11 @@ class TestDisplacement:
         # elements on the protected top-left block are ordering-free.
         s, n = 1.75, 300
         ps = PhaseSpaceLabel(0.5, 1.0)
-        d1 = displacement_matrix(ps, s, n, ordering="xp")
-        d2 = displacement_matrix(ps, s, n, ordering="px")
+        d1, d2 = displacement_matrix(ps, s, n)
         k = n // 2
         assert np.abs((d1 - d2)[:k, :k]).max() < 1e-10
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.0, 8,
-                                ordering="northwest")
         with pytest.raises(DomainError):
             displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.0, 1)
         with pytest.raises(CapabilityError, match="supported maximum"):
@@ -532,6 +575,24 @@ class TestProjection:
         got = project_onto_basis(lambda y: pseudo_wavefunction(2, 1.0, y),
                                  1.0, 4)
         assert abs(got[2] - 1.0) < 1e-12
+
+    def test_callable_evaluated_once_on_live_nodes(self):
+        s = 1.75
+        rule = gauss_laguerre_rule(200, 2.0 * s - 1.0)
+        calls = []
+
+        def f(y):
+            calls.append(np.shape(y))
+            return pseudo_wavefunction(3, s, y)
+
+        project_onto_basis(f, s, 8, rule)
+        assert calls == [(int(np.count_nonzero(rule.weights > 0.0)),)]
+
+    @pytest.mark.parametrize("f", [lambda y: 1.0, lambda y: np.ones(3),
+                                   lambda y: np.ones((y.size, 2))])
+    def test_wrong_shape_rejected(self, f):
+        with pytest.raises(DomainError, match="one value per node"):
+            project_onto_basis(f, 1.75, 4)
 
 
 class TestStrongContinuity:

@@ -6,6 +6,7 @@ import pytest
 from morsecs import operators
 from morsecs.errors import CapabilityError, DomainError, MarginalStateWarning
 from morsecs.morse_core import bound_energy, ground_energy
+from morsecs.numerics import symtridiag_eigen
 from morsecs.operators import (
     bound_spectrum,
     commutator,
@@ -166,6 +167,12 @@ class TestSpectrum:
         # The marginal level is a Ritz value just above the threshold.
         assert 0.0 < vals[3] - 3.5 ** 2 < 0.2
 
+    @pytest.mark.parametrize("s", [60, 200])
+    def test_marginal_level_stays_near_threshold(self, s):
+        with pytest.warns(MarginalStateWarning):
+            top = bound_spectrum(float(s))[-1]
+        assert 0.0 < top - (s + 0.5) ** 2 <= 0.3
+
     def test_near_integer_shapes(self):
         for s in (np.nextafter(3.0, 4.0), np.nextafter(3.0, 0.0),
                   199.99999999):
@@ -197,7 +204,8 @@ class TestSpectrum:
             matrix_H(1.75, 4, sigma=0.0)
 
     def test_ritz_vector_residual(self):
-        vals, vecs = spectrum(1.75, 120, 2, want_vectors=True)
+        vals, vecs = symtridiag_eigen(matrix_H(1.75, 120), want_vectors=True,
+                                      n_lowest=2)
         h = matrix_H(1.75, 120).to_dense()
         for i in range(2):
             r = np.abs(h @ vecs[:, i] - vals[i] * vecs[:, i]).max()

@@ -1,16 +1,17 @@
 """Replay the benchmark job streams through two source trees and compare.
 
-    python tools/replay_parity.py OLD NEW --workload states --seeds 1 2 3 --jobs 200
+    python tools/replay_parity.py OLD NEW --workload displace states --seeds 1 2 3 --jobs 200
 
 OLD and NEW are checkouts of this repository (each with a src/ directory).
 The jobs come from this repository's perfbench/workloads.py, imported
 read-only and seeded the way the benchmark worker seeds them; each tree
-runs the untimed warm-up jobs and then the first --jobs jobs of every seed
-in its own child process with PYTHONPATH=<tree>/src. CLI jobs are compared
-on exit code, stdout and stderr; library jobs on np.asarray(value).tobytes(),
-the TruncationWarning flag and any escaped exception. Prints identical and
-differing counts per job kind and the first difference; exits 1 on any
-difference.
+runs, in its own child process with PYTHONPATH=<tree>/src, every named
+workload (all three by default) in turn: its untimed warm-up jobs, then the
+first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
+and stderr; library jobs on np.asarray(value).tobytes(), the
+TruncationWarning flag and any escaped exception. Prints, per workload, a
+table of identical and differing counts per job kind and the first
+difference; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FIELDS = ("error", "code", "stdout", "stderr", "value", "warned")
+WORKLOADS = ("spectrum", "displace", "states")
 
 
-def _child(workload: str, seeds: list[int], n_jobs: int, out_path: str) -> None:
+def _child(names: list[str], seeds: list[int], n_jobs: int,
+           out_path: str) -> None:
     import itertools
     import random
     import time
@@ -39,22 +42,26 @@ def _child(workload: str, seeds: list[int], n_jobs: int, out_path: str) -> None:
     import workloads
 
     clock = time.perf_counter_ns
-    for job in workloads.WARMUP[workload]:
-        workloads.run_job(job, clock)
-    records = []
-    for seed in seeds:
-        stream = workloads.STREAMS[workload](random.Random(f"{workload}:{seed}"))
-        for index, job in enumerate(itertools.islice(stream, n_jobs)):
-            out, _ = workloads.run_job(job, clock)
-            records.append({
-                "seed": seed, "index": index, "job": job,
-                "error": (out.error.strip().splitlines()[-1]
-                          if out.error is not None else None),
-                "code": out.code, "stdout": out.stdout, "stderr": out.stderr,
-                "value": (np.asarray(out.value).tobytes().hex()
-                          if out.value is not None else None),
-                "warned": out.warned,
-            })
+    records = {}
+    for workload in names:
+        for job in workloads.WARMUP[workload]:
+            workloads.run_job(job, clock)
+        records[workload] = []
+        for seed in seeds:
+            stream = workloads.STREAMS[workload](
+                random.Random(f"{workload}:{seed}"))
+            for index, job in enumerate(itertools.islice(stream, n_jobs)):
+                out, _ = workloads.run_job(job, clock)
+                records[workload].append({
+                    "seed": seed, "index": index, "job": job,
+                    "error": (out.error.strip().splitlines()[-1]
+                              if out.error is not None else None),
+                    "code": out.code, "stdout": out.stdout,
+                    "stderr": out.stderr,
+                    "value": (np.asarray(out.value).tobytes().hex()
+                              if out.value is not None else None),
+                    "warned": out.warned,
+                })
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"module": morsecs.__file__, "records": records}, fh)
 
@@ -62,7 +69,8 @@ def _child(workload: str, seeds: list[int], n_jobs: int, out_path: str) -> None:
 def _replay(tree: Path, args, out_path: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run([sys.executable, __file__, "--child", out_path,
-                    args.workload, str(args.jobs), *map(str, args.seeds)],
+                    ",".join(args.workload), str(args.jobs),
+                    *map(str, args.seeds)],
                    env=env, check=True)
     with open(out_path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -95,8 +103,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", type=Path)
     ap.add_argument("new", type=Path)
-    ap.add_argument("--workload", required=True,
-                    choices=("spectrum", "displace", "states"))
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS,
+                    default=list(WORKLOADS))
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--jobs", type=int, default=200,
                     help="jobs per seed, from the start of each stream")
@@ -105,28 +113,33 @@ def main(argv=None) -> int:
         old = _replay(args.old.resolve(), args, os.path.join(tmp, "old.json"))
         new = _replay(args.new.resolve(), args, os.path.join(tmp, "new.json"))
     print(f"old: {old['module']}\nnew: {new['module']}")
-    print(f"workload {args.workload}, seeds {' '.join(map(str, args.seeds))}, "
-          f"first {args.jobs} jobs each")
-    counts: dict[str, list[int]] = {}
-    first = None
-    for a, b in zip(old["records"], new["records"], strict=True):
-        same = all(a[f] == b[f] for f in FIELDS)
-        counts.setdefault(a["job"]["kind"], [0, 0])[0 if same else 1] += 1
-        if not same and first is None:
-            first = _describe(a, b)
-    print(f"{'kind':<14}{'identical':>10}{'differing':>10}")
-    for kind in sorted(counts):
-        print(f"{kind:<14}{counts[kind][0]:>10}{counts[kind][1]:>10}")
-    if first is None:
-        print("all jobs identical")
-        return 0
-    print("first difference:\n" + first)
-    return 1
+    code = 0
+    for workload in args.workload:
+        print(f"\nworkload {workload}, seeds "
+              f"{' '.join(map(str, args.seeds))}, first {args.jobs} jobs each")
+        counts: dict[str, list[int]] = {}
+        first = None
+        for a, b in zip(old["records"][workload], new["records"][workload],
+                        strict=True):
+            same = all(a[f] == b[f] for f in FIELDS)
+            counts.setdefault(a["job"]["kind"], [0, 0])[0 if same else 1] += 1
+            if not same and first is None:
+                first = _describe(a, b)
+        print(f"{'kind':<14}{'identical':>10}{'differing':>10}")
+        for kind in sorted(counts):
+            print(f"{kind:<14}{counts[kind][0]:>10}{counts[kind][1]:>10}")
+        if first is None:
+            print("all jobs identical")
+        else:
+            print("first difference:\n" + first)
+            code = 1
+    return code
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        _, _, out_path, workload, n_jobs, *seeds = sys.argv
-        _child(workload, [int(x) for x in seeds], int(n_jobs), out_path)
+        _, _, out_path, names, n_jobs, *seeds = sys.argv
+        _child(names.split(","), [int(x) for x in seeds], int(n_jobs),
+               out_path)
     else:
         sys.exit(main())
