@@ -12,8 +12,6 @@ failure (non-finite result, failed self-check, beyond a supported size).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
@@ -23,7 +21,8 @@ import warnings
 import numpy as np
 
 from . import __version__, coherent, morse_core, operators, verify
-from .errors import CapabilityError, ConsistencyError, DomainError
+from .errors import (CapabilityError, ConsistencyError, DomainError,
+                     TruncationWarning)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +73,6 @@ def _resolve_label(args, s: float) -> coherent.CoherentLabel:
 
 
 def _cell(value) -> str:
-    # Tables are built from Python scalars (.tolist() columns), so floats
-    # take the first branch.
     if type(value) is float:
         return repr(value)
     if isinstance(value, bool):
@@ -87,13 +84,29 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
-def _csv_table(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+def _is_float_array(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype == np.float64
+
+
+def _csv_field(text: str) -> str:
+    # Minimal quoting, as the csv module's writer does with a "\n" line
+    # terminator: only a comma, a quote or a newline needs quotes.
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_table(header, columns) -> str:
+    """CSV of equal-length columns under a header, one line per row.
+
+    A float64 array column is formatted in one pass (its cells are reprs,
+    which never need quotes); any other column cell by cell.
+    """
+    cells = [[_csv_field(name)]
+             + (list(map(float.__repr__, col.tolist())) if _is_float_array(col)
+                else [_csv_field(_cell(v)) for v in col])
+             for name, col in zip(header, columns)]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _json_document(config: dict, data) -> str:
@@ -101,25 +114,42 @@ def _json_document(config: dict, data) -> str:
                       indent=2, allow_nan=False) + "\n"
 
 
-def _json_rows(header, rows) -> list:
-    out = []
-    for row in rows:
-        item = {}
-        for key, value in zip(header, row):
-            if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                item[key] = int(value)
-            elif isinstance(value, (bool, str)):
-                item[key] = value
-            else:
-                item[key] = float(value)
-        out.append(item)
-    return out
+def _json_value(value):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (bool, str)):
+        return value
+    return float(value)
 
 
-def _table_output(args, config, header, rows) -> str:
+def _json_rows(header, columns) -> list:
+    cols = [col.tolist() if _is_float_array(col) else list(map(_json_value, col))
+            for col in columns]
+    return [dict(zip(header, row)) for row in zip(*cols)]
+
+
+def _require_finite(header, columns) -> None:
+    for name, col in zip(header, columns):
+        if _is_float_array(col):
+            finite = bool(np.isfinite(col).all())
+        else:
+            finite = all(math.isfinite(v) for v in col
+                         if isinstance(v, (float, np.floating)))
+        if not finite:
+            raise CapabilityError(
+                f"column {name} holds a non-finite value: the evaluation "
+                "left float range")
+
+
+def _table_output(args, config, header, columns, data=None) -> str:
+    """The report of named columns in the requested format. A non-finite
+    cell fails the command in either format; `data`, when given, is the
+    JSON document's data in place of one object per row."""
+    _require_finite(header, columns)
     if args.format == "json":
-        return _json_document(config, _json_rows(header, rows))
-    return _csv_table(header, rows)
+        return _json_document(
+            config, _json_rows(header, columns) if data is None else data)
+    return _csv_table(header, columns)
 
 
 def _cmd_basis(args):
@@ -130,27 +160,23 @@ def _cmd_basis(args):
         raise DomainError("--n-max must be >= 0")
     x = np.linspace(lo, hi, count)
     y = morse_core.y_from_x(x)
-    cols = [morse_core.pseudo_wavefunction(n, s, y) for n in range(n_max + 1)]
     header = ["y"] + [f"phi{n}" for n in range(n_max + 1)]
-    rows = list(zip(y.tolist(), *(c.tolist() for c in cols)))
+    columns = [y, *morse_core.pseudo_wavefunctions(n_max, s, y)]
     config = {"command": "basis", "s": s, "n_max": n_max,
               "grid": [lo, hi, count]}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_ham(args):
     s = args.s
     n = int(args.n)
     h = operators.matrix_H(s, n)
-    diag = [float(v) for v in h.diag]
-    off = [float(v) for v in h.offdiag]
+    off = h.offdiag.tolist()
     config = {"command": "ham", "s": s, "n": n}
-    if args.format == "json":
-        return _json_document(config, {"diagonal": diag,
-                                       "super_diagonal": off}), 0
     header = ["index", "diagonal", "super_diagonal"]
-    rows = [[i, diag[i], off[i] if i < n - 1 else ""] for i in range(n)]
-    return _csv_table(header, rows), 0
+    columns = [range(n), h.diag, off + [""]]
+    data = {"diagonal": h.diag.tolist(), "super_diagonal": off}
+    return _table_output(args, config, header, columns, data), 0
 
 
 def _cmd_spectrum(args):
@@ -164,10 +190,10 @@ def _cmd_spectrum(args):
         route += "; the marginal top level is a Ritz value at sigma = 1"
     print(route, file=sys.stderr)
     header = ["index", "ritz_value", "formula_value", "abs_diff", "threshold"]
-    rows = [[k, levels[k], formulas[k], abs(levels[k] - formulas[k]), threshold]
-            for k in range(count)]
+    columns = [range(count), levels, formulas,
+               [abs(a - b) for a, b in zip(levels, formulas)], [threshold] * count]
     config = {"command": "spectrum", "s": s, "n_levels": count}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_coherent(args):
@@ -175,14 +201,14 @@ def _cmd_coherent(args):
     n = int(args.n)
     label = _resolve_label(args, s)
     state = coherent.coefficients(label, s, n)
+    c = state.coeffs
     header = ["n", "real", "imag", "abs"]
-    # Python's abs of the complex, not np.abs of the array: the latter
+    # Python's abs of each complex, not np.abs of the array: the latter
     # differs in the last bit for some coefficients.
-    rows = [[k, c.real, c.imag, abs(c)]
-            for k, c in enumerate(state.coeffs.tolist())]
+    columns = [range(n), c.real, c.imag, np.array([abs(v) for v in c.tolist()])]
     config = {"command": "coherent", "s": s, "n": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_wavefunction(args):
@@ -192,17 +218,21 @@ def _cmd_wavefunction(args):
     lo, hi, count = _parse_grid(args.grid)
     x = np.linspace(lo, hi, count)
     y = morse_core.y_from_x(x)
+    tail = coherent.coefficient_tail_bound(label, s, n)
+    if tail > 1e-12:
+        warnings.warn(
+            f"the series of {n} terms leaves a coefficient tail bound of "
+            f"{tail:.3e} (above 1e-12); raise --n", TruncationWarning)
     ser = coherent.wavefunction_series(label, s, y, n)
     clo = coherent.wavefunction_closed(label, s, y)
     dev = float(np.abs(ser - clo).max())
     print(f"max |series - closed| = {dev!r}", file=sys.stderr)
     header = ["y", "series_re", "series_im", "closed_re", "closed_im"]
-    rows = list(zip(y.tolist(), ser.real.tolist(), ser.imag.tolist(),
-                    clo.real.tolist(), clo.imag.tolist()))
+    columns = [y, ser.real, ser.imag, clo.real, clo.imag]
     config = {"command": "wavefunction", "s": s, "n_terms": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag,
               "grid": [lo, hi, count]}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_resolution(args):
@@ -212,10 +242,10 @@ def _cmd_resolution(args):
                                        n_angular=args.angular)
     dev = float(np.abs(out - math.pi * np.eye(m)).max())
     header = ["m_basis", "n_radial", "n_angular", "max_deviation_from_pi_identity"]
-    rows = [[m, int(args.quad_points), int(args.angular), dev]]
+    columns = [[m], [int(args.quad_points)], [int(args.angular)], [dev]]
     config = {"command": "resolution", "s": s, "m_basis": m,
               "n_radial": int(args.quad_points), "n_angular": int(args.angular)}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_displace(args):
@@ -230,23 +260,22 @@ def _cmd_displace(args):
     k = n // 3
     ordering_dev = float(np.abs((d_xp - d_px)[:k, :k]).max())
     header = ["n", "unitarity_deviation", "fidelity", "ordering_deviation"]
-    rows = [[n, unit, fidelity, ordering_dev]]
+    columns = [[n], [unit], [fidelity], [ordering_dev]]
     config = {"command": "displace", "s": s, "n": n,
               "x_tilde": ps.x_tilde, "p_tilde": ps.p_tilde}
-    return _table_output(args, config, header, rows), 0
+    return _table_output(args, config, header, columns), 0
 
 
 def _cmd_verify(args):
     results = verify.run_checks(quick=args.quick)
     code = 0 if all(r.passed for r in results) else 2
+    if args.format == "text":
+        return verify.format_text(results), code
     config = {"command": "verify", "quick": bool(args.quick)}
-    if args.format == "json":
-        return _json_document(config, verify.result_rows(results)), code
-    if args.format == "csv":
-        header = ["property", "residual", "tolerance", "pass"]
-        rows = [[r.name, r.residual, r.tolerance, r.passed] for r in results]
-        return _csv_table(header, rows), code
-    return verify.format_text(results), code
+    header = ["property", "residual", "tolerance", "pass"]
+    columns = [[r.name for r in results], [r.residual for r in results],
+               [r.tolerance for r in results], [r.passed for r in results]]
+    return _table_output(args, config, header, columns), code
 
 
 def _add_format(p, choices=("csv", "json"), default="csv"):

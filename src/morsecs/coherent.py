@@ -508,7 +508,11 @@ def phase_space_measure_check(s: float, m_basis: int,
     w_q[0] *= 0.5
     w_q[-1] *= 0.5
 
-    b_n = np.exp(_log_binom_sqrt(s, m_basis))[:, None]
+    # Real factors are cast to complex once, so each product below is one
+    # complex multiply without a buffered broadcast cast; casting="no"
+    # keeps it that way. The values, and so the bits, are those of the
+    # promoted real * complex products.
+    b_n = np.exp(_log_binom_sqrt(s, m_basis)).astype(complex)[:, None]
     out = np.zeros((m_basis, m_basis), dtype=complex)
     # Whole x rows in blocks of about _PS_BLOCK nodes, accumulated in a
     # fixed order: memory stays flat, and the block size depends only on
@@ -525,9 +529,12 @@ def phase_space_measure_check(s: float, m_basis: int,
             col[0] = np.exp(s * np.log1p(-(ab * ab)))
             for k in range(1, m_basis):
                 col[k] = col[k - 1] * beta
-        col *= b_n
+        np.multiply(col, b_n, out=col, casting="no")
         weight = ((w_x[i0:i0 + rows, None] * np.exp(-x)) * w_q).ravel()
-        out += (col.conj() * weight) @ col.T
+        weighted = col.conj()
+        np.multiply(weighted, weight.astype(complex), out=weighted,
+                    casting="no")
+        out += weighted @ col.T
     out *= (2.0 * s - 1.0) / (4.0 * s)
     return out
 

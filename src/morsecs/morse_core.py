@@ -33,6 +33,7 @@ __all__ = [
     "x_from_y",
     "norm_coefficient",
     "pseudo_wavefunction",
+    "pseudo_wavefunctions",
     "pseudo_wavefunction_recursive",
     "ground_energy",
     "bound_state_count",
@@ -152,6 +153,13 @@ def _log_envelope(s: float, y: np.ndarray) -> np.ndarray:
     return s * np.log(y) - 0.5 * y
 
 
+def _phi_from_laguerre(lag, n: int, s: float, log_env: np.ndarray):
+    # phi_n from L_n^{2s-1}(y) and the log envelope at the same points.
+    log_norm = -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
+    with np.errstate(under="ignore"):
+        return lag * np.exp(log_norm + log_env)
+
+
 def pseudo_wavefunction(n: int, s: float, y):
     """phi_n(y): normalized basis function, evaluated in log space.
 
@@ -166,10 +174,26 @@ def pseudo_wavefunction(n: int, s: float, y):
         raise DomainError("n must be >= 0")
     y_arr = _check_y(y)
     lag = laguerre_sequence(n, 2.0 * s - 1.0, y_arr)[n]
-    log_norm = -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
-    with np.errstate(under="ignore"):
-        out = lag * np.exp(log_norm + _log_envelope(s, y_arr))
+    out = _phi_from_laguerre(lag, n, s, _log_envelope(s, y_arr))
     return float(out) if np.ndim(y) == 0 else out
+
+
+def pseudo_wavefunctions(n_max: int, s: float, y) -> np.ndarray:
+    """[phi_0(y), ..., phi_{n_max}(y)], shape (n_max + 1,) + shape(y).
+
+    One Laguerre recurrence and one envelope serve every row; each row has
+    the bits of pseudo_wavefunction(n, s, y).
+    """
+    s = _check_s(s)
+    n_max = int(n_max)
+    if n_max < 0:
+        raise DomainError("n_max must be >= 0")
+    y_arr = _check_y(y)
+    lag = laguerre_sequence(n_max, 2.0 * s - 1.0, y_arr)
+    log_env = _log_envelope(s, y_arr)
+    for n in range(n_max + 1):
+        lag[n] = _phi_from_laguerre(lag[n], n, s, log_env)
+    return lag
 
 
 def pseudo_wavefunction_recursive(n: int, s: float, y):

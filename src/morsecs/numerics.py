@@ -9,6 +9,7 @@ wrappers so the rest of the package has a single place to call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _MAX_RULE_POINTS = 512
+# exp(x) is finite exactly for x <= this float, ln of the largest float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -189,7 +192,9 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
     form, 1 / sum_k p_k(x_j)^2 over the orthonormal polynomials, so that
     weights far below the eigensolver's floor still come out correctly
     (exponent-tracked recurrence, no underflow until the weights leave
-    float64 range entirely).
+    float64 range entirely). A rule with a weight above float range, which
+    Gamma(alpha + 1) brings about from alpha near 171, raises
+    CapabilityError.
     """
     n_points = int(n_points)
     if n_points < 1:
@@ -229,6 +234,11 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
             shifts[big] += 1.0
         sq_sum += p * p
     log_w = log_gamma(alpha + 1.0) - (np.log(sq_sum) + shifts * log_rescale)
+    # The zeroth moment Gamma(alpha + 1) leaves float range near alpha = 171.
+    if log_w.max() > _LOG_FLOAT_MAX:
+        raise CapabilityError(
+            f"{n_points}-point rule at alpha = {alpha!r}: a weight of "
+            f"e^{log_w.max():.1f} exceeds float range")
     with np.errstate(under="ignore"):
         weights = np.exp(log_w)
     return QuadratureRule(alpha=alpha, nodes=nodes, weights=weights)

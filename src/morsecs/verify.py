@@ -23,7 +23,7 @@ import numpy as np
 from . import coherent, morse_core, numerics, operators
 from .errors import TruncationWarning
 
-__all__ = ["CheckResult", "run_checks", "format_text", "result_rows"]
+__all__ = ["CheckResult", "run_checks", "format_text"]
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,3 @@ def format_text(results: list[CheckResult]) -> str:
     n_pass = sum(1 for r in results if r.passed)
     lines.append(f"{n_pass}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"
-
-
-def result_rows(results: list[CheckResult]) -> list[dict]:
-    return [{"property": r.name, "residual": r.residual,
-             "tolerance": r.tolerance, "pass": r.passed} for r in results]

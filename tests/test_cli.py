@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsecs import coherent, morse_core
 from morsecs.cli import _csv_table, main
@@ -232,6 +234,24 @@ class TestWavefunction:
         assert "max |series - closed|" in err
         assert "max |series - closed|" not in out
 
+    def test_short_series_warns_once(self):
+        argv = ("wavefunction", "--s", "200", "--beta", "0.9", "--n", "400",
+                "--grid", "-2:8:100")
+        result = run_process(*argv)
+        assert result.returncode == 0
+        warned = [line for line in result.stderr.splitlines()
+                  if line.startswith("morsecs: warning:")]
+        assert len(warned) == 1 and "tail bound of inf" in warned[0]
+        # The warning goes to stderr only; the report is whole.
+        header, rows = parse_csv(result.stdout)
+        assert header[0] == "y" and len(rows) == 100
+
+    def test_converged_series_does_not_warn(self):
+        result = run_process("wavefunction", "--s", "5", "--beta", "0.8",
+                             "--n", "200", "--grid", "-2:8:10")
+        assert result.returncode == 0
+        assert "warning" not in result.stderr
+
     def test_overflowing_grid_is_one_line_domain_error(self):
         # y = 2 e^{-x} overflows at x = -800; the inf is rejected as a
         # domain error, and no floating-point warning reaches stderr.
@@ -328,19 +348,47 @@ class TestTables:
                            np.inf, -np.inf, 123456789.125, -7.0])
         np_rows = [[np.int64(k), v, k % 3 == 0, "a,b", ""]
                    for k, v in enumerate(values)]
-        py_rows = [[k, v, k % 3 == 0, "a,b", ""]
-                   for k, v in enumerate(values.tolist())]
+        flags = [k % 3 == 0 for k in range(values.size)]
+        names, blanks = ["a,b"] * values.size, [""] * values.size
+        np_cols = [list(np.arange(values.size)), list(values), flags, names,
+                   blanks]
+        py_cols = [list(range(values.size)), values.tolist(), flags, names,
+                   blanks]
         expected = numpy_scalar_table(header, np_rows)
-        assert _csv_table(header, py_rows) == expected
-        assert _csv_table(header, np_rows) == expected
+        assert _csv_table(header, py_cols) == expected
+        assert _csv_table(header, np_cols) == expected
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_columns_match_csv_writer(self, data):
+        n_rows = data.draw(st.integers(0, 12))
+        specials = [np.float64(v).view(np.uint64).item() for v in
+                    (-0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf,
+                     np.nan)]
+        bits = st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(specials))
+        floats = st.lists(bits, min_size=n_rows, max_size=n_rows).map(
+            lambda b: np.array(b, dtype=np.uint64).view(np.float64))
+        ints = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n_rows,
+                        max_size=n_rows)
+        bools = st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+        texts = st.lists(st.one_of(st.just(""), st.just('""'), st.text(
+            alphabet=st.sampled_from('ab ,"\r\n'), max_size=6)),
+            min_size=n_rows, max_size=n_rows)
+        columns = data.draw(st.lists(st.one_of(floats, ints, bools, texts),
+                                     min_size=2, max_size=5))
+        header = data.draw(st.lists(st.sampled_from(["y", "a,b", 'q"', "c\rd"]),
+                                    min_size=len(columns),
+                                    max_size=len(columns)))
+        rows = [list(row) for row in zip(*columns)]
+        assert _csv_table(header, columns) == numpy_scalar_table(header, rows)
 
     def test_basis_table_bytes(self, capsys):
-        _, out, _ = run(capsys, "basis", "--s", "2.3", "--n-max", "6",
-                        "--grid", "-1.5:9:301")
-        y = morse_core.y_from_x(np.linspace(-1.5, 9.0, 301))
-        cols = [morse_core.pseudo_wavefunction(n, 2.3, y) for n in range(7)]
-        rows = [[y[i]] + [c[i] for c in cols] for i in range(301)]
-        header = ["y"] + [f"phi{n}" for n in range(7)]
+        _, out, _ = run(capsys, "basis", "--s", "2.3", "--n-max", "20",
+                        "--grid", "-1.5:9:1900")
+        y = morse_core.y_from_x(np.linspace(-1.5, 9.0, 1900))
+        cols = [morse_core.pseudo_wavefunction(n, 2.3, y) for n in range(21)]
+        rows = [[y[i]] + [c[i] for c in cols] for i in range(1900)]
+        header = ["y"] + [f"phi{n}" for n in range(21)]
         assert out == numpy_scalar_table(header, rows)
 
     def test_coherent_table_bytes(self, capsys):
@@ -352,6 +400,27 @@ class TestTables:
         # The abs column is the scalar abs of each coefficient, to the bit.
         _, table = parse_csv(out)
         assert all(float(r[3]) == float(abs(ck)) for r, ck in zip(table, c))
+
+
+class TestNonFiniteCells:
+    # L_n(y) overflows at y ~ 3600 (x = -7.5) while the envelope
+    # underflows, so these cells are nan until a scaled recurrence lands.
+    @pytest.mark.parametrize("argv,column", [
+        (("basis", "--s", "1.75", "--n-max", "250",
+          "--grid", "-7.5:-7.4:2"), "phi"),
+        (("basis", "--s", "1.75", "--n-max", "250",
+          "--grid", "-7.5:-7.4:2", "--format", "json"), "phi"),
+        (("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "400",
+          "--grid", "-7.5:-6:4"), "series_re"),
+    ])
+    def test_exit_2_with_one_line_naming_the_column(self, argv, column):
+        result = run_process(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith(f"morsecs: column {column}"), result.stderr
+        assert "non-finite" in last
 
 
 class TestParsing:

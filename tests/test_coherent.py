@@ -19,6 +19,8 @@ import scipy.linalg
 import scipy.special
 
 from morsecs.coherent import (
+    _PS_BLOCK,
+    _log_binom_sqrt,
     _MAX_DISPLACEMENT_ORDER,
     CoherentLabel,
     _jacobi01_rule,
@@ -329,6 +331,37 @@ def row_by_row_phase_space(s, m, box, n_x, n_p):
     return out * (2.0 * s - 1.0) / (4.0 * s)
 
 
+def promoted_phase_space(s, m, box, n_x, n_p):
+    """The blocked phase-space sum with real factors promoted to complex
+    inside each product, as NumPy does for real * complex operands."""
+    x_nodes = np.linspace(-box[0], box[0], n_x)
+    q_nodes = np.linspace(-box[1], box[1], n_p)
+    w_x = np.full(n_x, x_nodes[1] - x_nodes[0])
+    w_x[0] *= 0.5
+    w_x[-1] *= 0.5
+    w_q = np.full(n_p, q_nodes[1] - q_nodes[0])
+    w_q[0] *= 0.5
+    w_q[-1] *= 0.5
+    b_n = np.exp(_log_binom_sqrt(s, m))[:, None]
+    out = np.zeros((m, m), dtype=complex)
+    rows = max(1, _PS_BLOCK // n_p)
+    for i0 in range(0, n_x, rows):
+        x = x_nodes[i0:i0 + rows, None]
+        w = (np.exp(x) + 1j * q_nodes / s).ravel()
+        beta = (w - 1.0) / (w + 1.0)
+        ab = np.abs(beta)
+        col = np.empty((m, w.size), dtype=complex)
+        with np.errstate(under="ignore"):
+            col[0] = np.exp(s * np.log1p(-(ab * ab)))
+            for k in range(1, m):
+                col[k] = col[k - 1] * beta
+        col *= b_n
+        weight = ((w_x[i0:i0 + rows, None] * np.exp(-x)) * w_q).ravel()
+        out += (col.conj() * weight) @ col.T
+    out *= (2.0 * s - 1.0) / (4.0 * s)
+    return out
+
+
 # Regression guard for the former O(m n_radial n_angular) panel: 3 GB for
 # these sizes, so under the cap a panel fails as a MemoryError in the child.
 _CAPPED_RESOLUTION = """
@@ -412,6 +445,20 @@ class TestPhaseSpaceMeasure:
             out = phase_space_measure_check(s, m, box=box, n_x=n_x, n_p=n_p)
         ref = row_by_row_phase_space(s, m, box, n_x, n_p)
         assert np.abs(out - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 12])
+    @pytest.mark.parametrize("s,box,n_x,n_p", [
+        (0.5000001, (4.0, 30.0), 40, 700),   # several rows per block
+        (0.51, (6.0, 50.0), 12, 5000),       # rows wider than one block
+        (0.76, (8.0, 80.0), 30, 1500),
+    ])
+    def test_products_match_promoted_products_bitwise(self, s, box, n_x, n_p,
+                                                      m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            out = phase_space_measure_check(s, m, box=box, n_x=n_x, n_p=n_p)
+        ref = promoted_phase_space(s, m, box, n_x, n_p)
+        assert out.tobytes() == ref.tobytes()
 
     def test_small_box_warns(self):
         with pytest.warns(TruncationWarning):
@@ -593,6 +640,15 @@ class TestProjection:
     def test_wrong_shape_rejected(self, f):
         with pytest.raises(DomainError, match="one value per node"):
             project_onto_basis(f, 1.75, 4)
+
+    def test_default_rule_beyond_float_range_is_capability_error(self):
+        # alpha = 2s - 1 = 179: the default rule's weights leave float range.
+        s = 90.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="exceeds float range"):
+                project_onto_basis(lambda y: wavefunction_closed(0.3, s, y),
+                                   s, 8)
 
 
 class TestStrongContinuity:

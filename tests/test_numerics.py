@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestGaussLaguerreRule:
     def test_capability_cap(self):
         with pytest.raises(CapabilityError):
             gauss_laguerre_rule(513, 0.0)
+
+    @pytest.mark.parametrize("n,alpha", [(10, 171.0), (200, 172.0)])
+    def test_weights_beyond_float_range_are_capability_error(self, n, alpha):
+        # Gamma(alpha + 1) leaves float range near alpha = 171; the rule
+        # fails with one line before any overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="exceeds float range"):
+                gauss_laguerre_rule(n, alpha)
+
+    def test_largest_alpha_within_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rule = gauss_laguerre_rule(200, 171.0)
+        assert np.isfinite(rule.weights).all() and rule.weights.max() > 1e300
 
     def test_validation(self):
         with pytest.raises(DomainError):

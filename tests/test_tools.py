@@ -1,10 +1,16 @@
 """Repository tooling: the parity replay script."""
 
+import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location(
+    "replay_parity", ROOT / "tools" / "replay_parity.py")
+replay_parity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(replay_parity)
 
 
 def replay_self(*args):
@@ -16,8 +22,8 @@ def replay_self(*args):
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     tables = {}
-    # old and new lines, then per workload: blank, title, header, one line
-    # per kind, verdict
+    # old and new lines, then per workload and for the fixed argv list:
+    # blank, title, header, one line per kind, verdict
     for block in result.stdout.split("\n\n")[1:]:
         title, _, *rows, verdict = block.strip().splitlines()
         assert verdict == "all jobs identical", block
@@ -29,13 +35,47 @@ def replay_self(*args):
 
 def test_replay_parity_of_a_tree_against_itself():
     tables = replay_self("--workload", "states", "--jobs", "5")
-    assert list(tables) == ["states"]
+    assert list(tables) == ["states", "fixed"]
     assert sum(same for same, _ in tables["states"].values()) == 5
     assert all(diff == 0 for _, diff in tables["states"].values())
 
 
 def test_replay_parity_prints_one_table_per_workload():
     tables = replay_self("--workload", "displace", "states", "--jobs", "2")
-    assert list(tables) == ["displace", "states"]
+    assert list(tables) == ["displace", "states", "fixed"]
     assert tables["displace"] == {"displace": (2, 0)}
     assert sum(same for same, _ in tables["states"].values()) == 2
+
+
+def test_fixed_argv_list_is_replayed_on_every_run():
+    # Every table command in json, ham and verify --quick in each format,
+    # and one --out report: all outside the benchmark streams.
+    fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
+    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (1, 0),
+                     "ham": (2, 0), "resolution": (1, 0), "spectrum": (1, 0),
+                     "verify": (3, 0), "wavefunction": (1, 0)}
+    argvs = [" ".join(argv) for argv in replay_parity.FIXED]
+    table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
+                      "resolution", "displace", "verify"}
+    assert {a.split()[0] for a in argvs if "--format json" in a} == table_commands
+    assert {a for a in argvs if a.startswith("ham")} == {
+        "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json"}
+    assert sorted(a for a in argvs if a.startswith("verify")) == [
+        "verify --quick", "verify --quick --format csv",
+        "verify --quick --format json"]
+    assert sum("--out {out}" in a for a in argvs) == 1
+
+
+def test_replay_compares_the_out_file(tmp_path):
+    # A tree whose --out report differs only in the file is caught.
+    other = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", other / "src")
+    cli = other / "src" / "morsecs" / "cli.py"
+    text = cli.read_text()
+    cli.write_text(text.replace("fh.write(body)", "fh.write(body + \"#\")"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_parity.py"),
+         str(ROOT), str(other), "--workload", "states", "--seeds", "1",
+         "--jobs", "1"], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1
+    assert "file differs" in result.stdout

@@ -9,9 +9,12 @@ runs, in its own child process with PYTHONPATH=<tree>/src, every named
 workload (all three by default) in turn: its untimed warm-up jobs, then the
 first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
 and stderr; library jobs on np.asarray(value).tobytes(), the
-TruncationWarning flag and any escaped exception. Prints, per workload, a
-table of identical and differing counts per job kind and the first
-difference; exits 1 on any difference.
+TruncationWarning flag and any escaped exception. Every run also replays
+FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
+`verify --quick` in each format, a report written with --out, whose file is
+compared too), as a table named "fixed". Prints, per workload, a table of
+identical and differing counts per job kind and the first difference; exits
+1 on any difference.
 """
 
 from __future__ import annotations
@@ -25,8 +28,28 @@ import tempfile
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-FIELDS = ("error", "code", "stdout", "stderr", "value", "warned")
+FIELDS = ("error", "code", "stdout", "stderr", "file", "value", "warned")
 WORKLOADS = ("spectrum", "displace", "states")
+# "{out}" stands for a file in the child's temporary directory.
+FIXED = (
+    ("basis", "--s", "1.75", "--n-max", "6", "--grid", "-2:10:60",
+     "--format", "json"),
+    ("ham", "--s", "3.6", "--n", "12"),
+    ("ham", "--s", "3.6", "--n", "12", "--format", "json"),
+    ("spectrum", "--s", "3.6", "--format", "json"),
+    ("coherent", "--s", "1.75", "--beta", "0.3+0.4i", "--n", "64",
+     "--format", "json"),
+    ("wavefunction", "--s", "1.75", "--beta", "0.3+0.4i", "--n", "200",
+     "--grid", "-2:8:50", "--format", "json"),
+    ("resolution", "--s", "1.75", "--n", "8", "--format", "json"),
+    ("displace", "--s", "1.75", "--x", "0.5", "--p", "1", "--n", "150",
+     "--format", "json"),
+    ("verify", "--quick"),
+    ("verify", "--quick", "--format", "csv"),
+    ("verify", "--quick", "--format", "json"),
+    ("basis", "--s", "2.3", "--n-max", "20", "--grid", "-1.5:9:300",
+     "--out", "{out}"),
+)
 
 
 def _child(names: list[str], seeds: list[int], n_jobs: int,
@@ -41,6 +64,16 @@ def _child(names: list[str], seeds: list[int], n_jobs: int,
     import morsecs
     import workloads
 
+    def record(seed, index, job, out, file=None) -> dict:
+        return {"seed": seed, "index": index, "job": job,
+                "error": (out.error.strip().splitlines()[-1]
+                          if out.error is not None else None),
+                "code": out.code, "stdout": out.stdout, "stderr": out.stderr,
+                "file": file,
+                "value": (np.asarray(out.value).tobytes().hex()
+                          if out.value is not None else None),
+                "warned": out.warned}
+
     clock = time.perf_counter_ns
     records = {}
     for workload in names:
@@ -52,16 +85,19 @@ def _child(names: list[str], seeds: list[int], n_jobs: int,
                 random.Random(f"{workload}:{seed}"))
             for index, job in enumerate(itertools.islice(stream, n_jobs)):
                 out, _ = workloads.run_job(job, clock)
-                records[workload].append({
-                    "seed": seed, "index": index, "job": job,
-                    "error": (out.error.strip().splitlines()[-1]
-                              if out.error is not None else None),
-                    "code": out.code, "stdout": out.stdout,
-                    "stderr": out.stderr,
-                    "value": (np.asarray(out.value).tobytes().hex()
-                              if out.value is not None else None),
-                    "warned": out.warned,
-                })
+                records[workload].append(record(seed, index, job, out))
+    records["fixed"] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report")
+        for index, argv in enumerate(FIXED):
+            out, _ = workloads.run_job(
+                {"argv": [path if a == "{out}" else a for a in argv]}, clock)
+            file = None
+            if "{out}" in argv and os.path.exists(path):
+                with open(path, encoding="utf-8", newline="") as fh:
+                    file = fh.read()
+            records["fixed"].append(record(
+                None, index, {"kind": argv[0], "argv": list(argv)}, out, file))
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump({"module": morsecs.__file__, "records": records}, fh)
 
@@ -87,7 +123,8 @@ def _first_line_diff(a: str, b: str) -> str:
 def _describe(old: dict, new: dict) -> str:
     job = old["job"]
     what = " ".join(job["argv"]) if "argv" in job else f"{job['call']} {job['args']}"
-    lines = [f"seed {old['seed']} job {old['index']} ({job['kind']}): {what}"]
+    where = "fixed" if old["seed"] is None else f"seed {old['seed']}"
+    lines = [f"{where} job {old['index']} ({job['kind']}): {what}"]
     for field in FIELDS:
         if old[field] == new[field]:
             continue
@@ -114,9 +151,13 @@ def main(argv=None) -> int:
         new = _replay(args.new.resolve(), args, os.path.join(tmp, "new.json"))
     print(f"old: {old['module']}\nnew: {new['module']}")
     code = 0
-    for workload in args.workload:
-        print(f"\nworkload {workload}, seeds "
-              f"{' '.join(map(str, args.seeds))}, first {args.jobs} jobs each")
+    for workload in [*args.workload, "fixed"]:
+        if workload == "fixed":
+            print(f"\nworkload fixed, {len(FIXED)} argvs outside the "
+                  "benchmark streams")
+        else:
+            print(f"\nworkload {workload}, seeds "
+                  f"{' '.join(map(str, args.seeds))}, first {args.jobs} jobs each")
         counts: dict[str, list[int]] = {}
         first = None
         for a, b in zip(old["records"][workload], new["records"][workload],
