@@ -393,9 +393,11 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     The entry-wise envelope of the integrand is bounded by
     (2s-1)/(4s) b_n b_m (1-|beta|^2)^{2s} with b_n the binomial square
     roots; in the sheared coordinates (x, q = p e^{x}) the q integral of
-    the envelope has a closed incomplete-Beta form and the x integral is a
-    fine trapezoid of a smooth positive function. This is an upper estimate
-    of the envelope mass, not a certified bound on the oscillatory error.
+    the envelope has a closed incomplete-Beta form. The |x| > X strips
+    then integrate in closed form too; the |q| > Q strip is a fine
+    trapezoid in x of a smooth positive function. This is an upper
+    estimate of the envelope mass, not a certified bound on the
+    oscillatory error.
     """
     s = _check_s(s)
     if s <= 0.5:
@@ -404,38 +406,37 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     box_x, box_q = float(box[0]), float(box[1])
     if box_x <= 0.0 or box_q <= 0.0:
         raise DomainError("box extents must be positive")
-    a_exp = 4.0 * s - 2.0
     half_beta = 0.5 * math.exp(log_gamma(0.5) + log_gamma(2.0 * s - 0.5)
                                - log_gamma(2.0 * s))
-
-    def q_integral(x: np.ndarray, q_cut: float | None) -> np.ndarray:
-        d_sqrt = 1.0 + np.exp(x)
-        if q_cut is None:
-            frac = 1.0
-        else:
-            phi = np.arctan(q_cut / (s * d_sqrt))
-            u0 = np.sin(phi) ** 2
-            frac = 1.0 - scipy.special.betainc(0.5, 2.0 * s - 0.5, u0)
-        return 2.0 * s * d_sqrt ** (1.0 - 4.0 * s) * half_beta * frac
-
-    def envelope(x: np.ndarray, q_cut: float | None) -> np.ndarray:
-        # e^{-x} (4 e^x / (1 + e^x)^2)^{2s}, assembled with logaddexp so
-        # large |x| cannot overflow.
-        with np.errstate(under="ignore"):
-            core = np.exp(2.0 * s * (math.log(4.0) + x
-                                     - 2.0 * np.logaddexp(0.0, x)) - x)
-        return core * q_integral(x, q_cut)
-
-    # |q| > Q strip, all x.
-    x_wide = np.linspace(-box_x - 40.0, box_x + 40.0, 4001)
-    piece_q = np.trapezoid(envelope(x_wide, box_q), dx=x_wide[1] - x_wide[0])
-    # |x| > X strips, all q.
-    x_right = np.linspace(box_x, box_x + 60.0, 2001)
-    x_left = np.linspace(-box_x - 60.0, -box_x, 2001)
-    piece_x = (np.trapezoid(envelope(x_right, None), dx=x_right[1] - x_right[0])
-               + np.trapezoid(envelope(x_left, None), dx=x_left[1] - x_left[0]))
+    # |q| > Q strip, all x: the envelope e^{-x} (4 e^x / (1 + e^x)^2)^{2s},
+    # assembled with logaddexp so large |x| cannot overflow, times its q
+    # integral beyond Q in closed incomplete-Beta form.
+    x = np.linspace(-box_x - 40.0, box_x + 40.0, 4001)
+    with np.errstate(under="ignore"):
+        core = np.exp(2.0 * s * (math.log(4.0) + x
+                                 - 2.0 * np.logaddexp(0.0, x)) - x)
+    d_sqrt = 1.0 + np.exp(x)
+    u0 = np.sin(np.arctan(box_q / (s * d_sqrt))) ** 2
+    frac = 1.0 - scipy.special.betainc(0.5, 2.0 * s - 0.5, u0)
+    q_integral = 2.0 * s * d_sqrt ** (1.0 - 4.0 * s) * half_beta * frac
+    piece_q = np.trapezoid(core * q_integral, dx=x[1] - x[0])
+    piece_x = _x_strip_mass(s, box_x)
     b_max_sq = math.exp(2.0 * _log_binom_sqrt(s, m_basis)[-1])
     return (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * (piece_q + piece_x)
+
+
+def _x_strip_mass(s: float, box_x: float) -> float:
+    # The envelope integrated over all q and |x| > box_x, in closed form:
+    # with C = 2s B(1/2, 2s - 1/2) / 2, the integrand is
+    # C 4^{2s} e^{(2s-1)x} (1 + e^x)^{1-8s}; t = 1/(1 + e^x) turns it into
+    # C 4^{2s} t^{6s-1} (1 - t)^{2s-2} dt, so each strip is a regularized
+    # incomplete Beta function at t_X = 1/(1 + e^{box_x}).
+    t_x = 1.0 / (1.0 + math.exp(box_x))
+    a, b = 2.0 * s - 1.0, 6.0 * s
+    log_scale = (math.log(s) + scipy.special.betaln(0.5, 2.0 * s - 0.5)
+                 + 2.0 * s * math.log(4.0) + scipy.special.betaln(a, b))
+    return math.exp(log_scale) * float(scipy.special.betainc(a, b, t_x)
+                                       + scipy.special.betainc(b, a, t_x))
 
 
 # Nodes per block of the phase-space sum.
@@ -544,15 +545,16 @@ def phase_space_measure_check(s: float, m_basis: int,
 _MAX_DISPLACEMENT_ORDER = 4096
 
 
-def _exp_i(t: SymTridiagonal, *thetas: float):
-    # expm(i theta T) per angle, from one eigendecomposition; exact I at 0.
+def _exp_i(t: SymTridiagonal, *angles: tuple[float, int]):
+    # The leading rows of expm(i theta T), one (theta, rows) pair per
+    # factor, from one eigendecomposition; exact identity rows at 0.
     eig = None
-    for theta in thetas:
+    for theta, rows in angles:
         if theta == 0.0:
-            yield np.eye(t.order)
+            yield np.eye(rows, t.order)
             continue
         vals, vecs = eig = eig or symtridiag_eigen(t, want_vectors=True)
-        yield (vecs * np.exp(1j * theta * vals)) @ vecs.T
+        yield (vecs[:rows] * np.exp(1j * theta * vals)) @ vecs.T
 
 
 def displacement_matrix(ps, s: float, n_dim: int):
@@ -576,6 +578,22 @@ def displacement_matrix(ps, s: float, n_dim: int):
     label, including its phase. Orders above _MAX_DISPLACEMENT_ORDER raise
     CapabilityError before anything is allocated.
     """
+    return _displacement_pair(ps, s, n_dim, n_dim)
+
+
+def _compared_orderings(ps, s: float, n_dim: int):
+    """d_xp in full and d_px on its leading n_dim // 3 rows and columns,
+    the block away from the truncation edge on which the two orderings are
+    compared; the rest of d_px is never formed. Each entry has the bits of
+    displacement_matrix's."""
+    return _displacement_pair(ps, s, n_dim, int(n_dim) // 3)
+
+
+def _displacement_pair(ps, s: float, n_dim: int, n_px: int):
+    # d_xp in full and the leading n_px x n_px block of d_px. zgemm sums
+    # each entry of the block in the same order as in the full product,
+    # so the block has the full matrix's bits; the tests compare them
+    # byte for byte, since that is a property of the BLAS, not of NumPy.
     ps = _as_ps(ps)
     s = _check_s(s)
     n_dim = int(n_dim)
@@ -585,6 +603,10 @@ def displacement_matrix(ps, s: float, n_dim: int):
         raise CapabilityError(
             f"displacement order {n_dim} exceeds the supported maximum "
             f"of {_MAX_DISPLACEMENT_ORDER}")
+    if n_px < 1:
+        raise DomainError(
+            f"n_dim = {n_dim} leaves no leading block to compare the "
+            "orderings on; need n_dim >= 3")
     band = _band_entries(s, n_dim)
     ph = phase_factor(from_phase_space(ps, s), s)
     xt, pt = ps.x_tilde, ps.p_tilde
@@ -593,14 +615,19 @@ def displacement_matrix(ps, s: float, n_dim: int):
     u = np.array([1.0, 1j, -1.0, -1j])[np.arange(n_dim) % 4]
     # A contiguous real copy: a .real view keeps its complex parent alive.
     shift = np.ascontiguousarray((u[:, None] * next(_exp_i(
-        SymTridiagonal(np.zeros(n_dim), band), -0.5 * xt)) * u.conj()).real)
+        SymTridiagonal(np.zeros(n_dim), band), (-0.5 * xt, n_dim)))
+        * u.conj()).real)
+    # NumPy takes a one-row product to gemv or dot, which sum in another
+    # order than gemm, so the block is formed on at least two rows.
+    rows = max(n_px, 2)
     boosts = _exp_i(SymTridiagonal(-2.0 * np.arange(n_dim), band),
-                    0.5 * pt / s, 0.5 * pe / s)
+                    (0.5 * pt / s, n_dim), (0.5 * pe / s, rows))
     # Name products before scaling: in-place scaling of temporaries moves bits.
     d_xp = shift @ next(boosts)
     d_xp = ph * cmath.exp(-1j * pt) * d_xp
-    d_px = next(boosts) @ shift
-    return d_xp, ph * cmath.exp(-1j * pe) * d_px
+    d_px = next(boosts) @ shift[:, :rows]
+    d_px = ph * cmath.exp(-1j * pe) * d_px
+    return d_xp, d_px[:n_px, :n_px]
 
 
 def project_onto_basis(wavefunction, s: float, n_terms: int,

@@ -181,6 +181,44 @@ def laguerre_generating_sum(w: complex, alpha: float, y) -> complex | np.ndarray
     return complex(val) if val.ndim == 0 else val
 
 
+def _christoffel_sums(nodes: np.ndarray, jac_diag: np.ndarray,
+                      jac_off: np.ndarray):
+    """sum_k p_k(x_j)^2 over the orthonormal polynomials at every node.
+
+    p is kept within [2^-500, 2^500] by exact power-of-two rescaling; the
+    returned `shifts` counts how many factors of 2^-1024 each node's sum
+    has absorbed. Each step runs in place in preallocated buffers, with
+    the same operations in the same order as the plain expression
+    ((x - a_{m-1}) p - b_{m-2} p_prev) / b_{m-1}.
+    """
+    n = nodes.size
+    p_lim_sq = 2.0 ** 1000   # p^2 > 2^1000 exactly when |p| > 2^500
+    scale = 2.0 ** -512
+    diffs = nodes - jac_diag[:n - 1, None]
+    p_prev = np.zeros(n)
+    p = np.ones(n)
+    tmp = np.empty(n)
+    pp = np.empty(n)
+    sq_sum = np.ones(n)
+    shifts = np.zeros(n)
+    for m in range(1, n):
+        np.multiply(diffs[m - 1], p, out=tmp)
+        np.multiply(jac_off[m - 2] if m >= 2 else 0.0, p_prev, out=p_prev)
+        np.subtract(tmp, p_prev, out=p_prev)
+        np.divide(p_prev, jac_off[m - 1], out=p_prev)
+        p_prev, p = p, p_prev
+        np.multiply(p, p, out=pp)
+        if pp.max() > p_lim_sq:
+            big = pp > p_lim_sq
+            p[big] *= scale
+            p_prev[big] *= scale
+            sq_sum[big] *= scale * scale
+            shifts[big] += 1.0
+            pp[big] = p[big] * p[big]
+        sq_sum += pp
+    return sq_sum, shifts
+
+
 def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
     """Generalized Gauss-Laguerre rule for the weight y^alpha e^{-y}.
 
@@ -212,27 +250,8 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
     nodes = scipy.linalg.eigh_tridiagonal(jac_diag, jac_off,
                                           eigvals_only=True)
 
-    # Orthonormal-polynomial recurrence evaluated at every node at once.
-    # p is kept within [2^-500, 2^500] by exact power-of-two rescaling;
-    # `shifts` counts how many factors of 2^-1024 each node's running sum
-    # of squares has absorbed.
-    p_lim = 2.0 ** 500
-    scale = 2.0 ** -512
+    sq_sum, shifts = _christoffel_sums(nodes, jac_diag, jac_off)
     log_rescale = 1024.0 * math.log(2.0)
-    p_prev = np.zeros(n)
-    p = np.ones(n)
-    sq_sum = np.ones(n)
-    shifts = np.zeros(n)
-    for m in range(1, n):
-        p_prev, p = p, ((nodes - jac_diag[m - 1]) * p
-                        - (jac_off[m - 2] if m >= 2 else 0.0) * p_prev) / jac_off[m - 1]
-        big = np.abs(p) > p_lim
-        if big.any():
-            p[big] *= scale
-            p_prev[big] *= scale
-            sq_sum[big] *= scale * scale
-            shifts[big] += 1.0
-        sq_sum += p * p
     log_w = log_gamma(alpha + 1.0) - (np.log(sq_sum) + shifts * log_rescale)
     # The zeroth moment Gamma(alpha + 1) leaves float range near alpha = 171.
     if log_w.max() > _LOG_FLOAT_MAX:

@@ -185,7 +185,7 @@ def _check_resolutions(quick: bool):
 def _check_displacement(quick: bool):
     s, n_dim = 1.75, (150 if quick else 300)
     ps = coherent.PhaseSpaceLabel(0.5, 1.0)
-    d1, d2 = coherent.displacement_matrix(ps, s, n_dim)
+    d1, d2 = coherent._compared_orderings(ps, s, n_dim)
     yield _below("displacement operator is unitary",
                  float(np.abs(d1.conj().T @ d1 - np.eye(n_dim)).max()), 1e-10)
 
@@ -194,9 +194,9 @@ def _check_displacement(quick: bool):
     yield _below("displacement of the ground state is the coherent state",
                  float(np.abs(d1[:, 0] - want).max()), 1e-10)
 
-    k = n_dim // 3
+    k = len(d2)
     yield _below("factor orderings agree away from the truncation edge",
-                 float(np.abs((d1 - d2)[:k, :k]).max()), 1e-8)
+                 float(np.abs(d1[:k, :k] - d2).max()), 1e-8)
 
 
 def _check_projection(quick: bool):

@@ -307,6 +307,33 @@ class TestDisplace:
         assert float(rows[0][2]) > 1.0 - 1e-6
         assert float(rows[0][3]) < 1e-8
 
+    def test_report_reads_the_full_pair(self, capsys):
+        # The px ordering is formed on its compared leading third only; the
+        # report must print the numbers the full pair gives.
+        s, n = 1.75, 300
+        label = coherent.from_phase_space(coherent.PhaseSpaceLabel(0.5, 1.0),
+                                          s)
+        d_xp, d_px = coherent.displacement_matrix(
+            coherent.to_phase_space(label, s), s, n)
+        target = coherent.coefficients(label, s, n).coeffs
+        want = [repr(float(np.abs(d_xp.conj().T @ d_xp - np.eye(n)).max())),
+                repr(float(abs(np.vdot(target, d_xp[:, 0])))),
+                repr(float(np.abs((d_xp - d_px)[:n // 3, :n // 3]).max()))]
+        code, out, _ = run(capsys, "displace", "--s", "1.75",
+                           "--x", "0.5", "--p", "1", "--n", "300")
+        assert code == 0
+        assert parse_csv(out)[1] == [["300", *want]]
+
+    def test_order_two_is_one_line_domain_error(self):
+        # n // 3 = 0 leaves no block to compare the orderings on.
+        result = run_process("displace", "--s", "1.75", "--x", "0.5",
+                             "--p", "1", "--n", "2")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("morsecs: ")
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert "n_dim >= 3" in result.stderr
+
 
 class TestVerify:
     def test_text_report_and_exit(self, capsys):

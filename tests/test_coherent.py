@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +21,9 @@ import scipy.special
 
 from morsecs.coherent import (
     _PS_BLOCK,
+    _compared_orderings,
     _log_binom_sqrt,
+    _x_strip_mass,
     _MAX_DISPLACEMENT_ORDER,
     CoherentLabel,
     _jacobi01_rule,
@@ -465,6 +468,37 @@ class TestPhaseSpaceMeasure:
             phase_space_measure_check(1.75, 4, box=(2.0, 5.0),
                                       n_x=100, n_p=100)
 
+    @pytest.mark.parametrize("s", [0.51, 0.75, 1.75, 5.0, 20.0])
+    @pytest.mark.parametrize("box_x", [2.0, 8.0])
+    def test_x_strips_match_mpmath(self, s, box_x):
+        # The |x| > X strips of the envelope, 2s B(1/2, 2s - 1/2) / 2 times
+        # 4^{2s} e^{(2s-1)x} (1 + e^x)^{1-8s}, as incomplete Beta functions
+        # evaluated at 40 digits.
+        with mpmath.workdps(40):
+            ms, t = mpmath.mpf(s), 1 / (1 + mpmath.exp(box_x))
+            a, b = 2 * ms - 1, 6 * ms
+            # Unregularized: each term carries its B(a, b).
+            want = (ms * mpmath.beta(0.5, 2 * ms - 0.5) * 4 ** (2 * ms)
+                    * (mpmath.betainc(a, b, 0, t) + mpmath.betainc(b, a, 0, t)))
+        got = _x_strip_mass(s, box_x)
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("s", [0.51, 0.75, 1.75])
+    def test_x_strips_match_quadrature_in_x(self, s):
+        # An independent route to the same mass: quadrature of the envelope
+        # itself in x, with breakpoints on the scale of its decay.
+        box_x = 8.0
+        with mpmath.workdps(20):
+            ms = mpmath.mpf(s)
+            c = ms * mpmath.beta(0.5, 2 * ms - 0.5) * 4 ** (2 * ms)
+            f = lambda x: (c * mpmath.exp((2 * ms - 1) * x)
+                           * (1 + mpmath.exp(x)) ** (1 - 8 * ms))
+            right = [box_x + j / (6 * ms) for j in range(0, 61, 4)]
+            left = [-box_x - j / (2 * ms - 1) for j in range(60, -1, -4)]
+            want = (mpmath.quad(f, right + [mpmath.inf])
+                    + mpmath.quad(f, [-mpmath.inf] + left))
+        assert abs(_x_strip_mass(s, box_x) - want) <= 1e-13 * want
+
     def test_tail_estimate_shrinks_with_box(self):
         est = [phase_space_tail_estimate(1.75, 8, box)
                for box in ((4.0, 20.0), (8.0, 80.0), (12.0, 400.0))]
@@ -530,10 +564,12 @@ class TestDisplacement:
                     dev = np.abs(got - want).max()
                     assert dev < 1e-12, (n, ps, ordering, dev)
 
-    @pytest.mark.parametrize("n", [150, 300, 450])
+    @pytest.mark.parametrize("n", [3, 5, 150, 300, 450])
     def test_pair_matches_per_ordering_construction_bitwise(self, n):
         # Above 256 KiB NumPy scales an unnamed temporary in place, which
-        # rounds differently; these orders are all past that size.
+        # rounds differently; orders from 150 are past that size. At 3 and
+        # 5 the compared block is one entry, and a one-row product goes to
+        # gemv or dot, which sum in another order than gemm.
         for s, ps in ((1.75, PhaseSpaceLabel(0.5, 1.0)),
                       (0.1, PhaseSpaceLabel(3.0, 50.0)),
                       (4.2, PhaseSpaceLabel(-1.3, -6.0)),
@@ -544,6 +580,12 @@ class TestDisplacement:
             for ordering, got in zip(("xp", "px"), pair):
                 want = per_ordering_displacement(ps, s, n, ordering)
                 assert got.tobytes() == want.tobytes(), (n, s, ps, ordering)
+            # The compared path: d_xp in full, d_px on its leading third.
+            d_xp, block = _compared_orderings(ps, s, n)
+            k = n // 3
+            assert block.shape == (k, k)
+            assert d_xp.tobytes() == pair[0].tobytes(), (n, s, ps)
+            assert block.tobytes() == pair[1][:k, :k].tobytes(), (n, s, ps)
 
     def test_peak_memory_for_both_orderings(self):
         n = 1024
@@ -583,6 +625,10 @@ class TestDisplacement:
     def test_validation(self):
         with pytest.raises(DomainError):
             displacement_matrix(PhaseSpaceLabel(0.0, 0.0), 1.0, 1)
+        # Order 2 is a legal operator but leaves no block to compare on.
+        assert displacement_matrix((0.5, 1.0), 1.75, 2)[1].shape == (2, 2)
+        with pytest.raises(DomainError, match="n_dim >= 3"):
+            _compared_orderings((0.5, 1.0), 1.75, 2)
         with pytest.raises(CapabilityError, match="supported maximum"):
             displacement_matrix((0.5, 1.0), 1.75, _MAX_DISPLACEMENT_ORDER + 1)
 

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import logsumexp
 
 from morsecs.errors import CapabilityError, DomainError
@@ -14,6 +15,7 @@ from morsecs.numerics import (
     laguerre_generating_sum,
     laguerre_sequence,
     log_gamma,
+    _christoffel_sums,
     symtridiag_eigen,
 )
 
@@ -129,6 +131,27 @@ class TestGeneratingSum:
             laguerre_generating_sum(1.0, 0.0, 1.0)
 
 
+def plain_christoffel_sums(nodes, jac_diag, jac_off):
+    """The recurrence as one expression per step, with power-of-two
+    rescaling at |p| > 2^500: the reference for the in-place loop."""
+    n = nodes.size
+    p_prev = np.zeros(n)
+    p = np.ones(n)
+    sq_sum = np.ones(n)
+    shifts = np.zeros(n)
+    for m in range(1, n):
+        p_prev, p = p, ((nodes - jac_diag[m - 1]) * p
+                        - (jac_off[m - 2] if m >= 2 else 0.0) * p_prev) / jac_off[m - 1]
+        big = np.abs(p) > 2.0 ** 500
+        if big.any():
+            p[big] *= 2.0 ** -512
+            p_prev[big] *= 2.0 ** -512
+            sq_sum[big] *= 2.0 ** -1024
+            shifts[big] += 1.0
+        sq_sum += p * p
+    return sq_sum, shifts
+
+
 class TestGaussLaguerreRule:
     def test_one_point(self):
         rule = gauss_laguerre_rule(1, 0.0)
@@ -197,6 +220,26 @@ class TestGaussLaguerreRule:
             warnings.simplefilter("error")
             rule = gauss_laguerre_rule(200, 171.0)
         assert np.isfinite(rule.weights).all() and rule.weights.max() > 1e300
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 128, 200, 300, 512])
+    def test_christoffel_sums_match_plain_loop_bitwise(self, n):
+        # The in-place recurrence runs the plain loop's operations in the
+        # same order, so its sums and rescale counts are the same bits.
+        rescaled = False
+        for alpha in (-0.9, -0.5, 0.0, 0.5, 1.0, 2.5, 7.3, 20.0, 60.0,
+                      110.0, 170.0):
+            k = np.arange(n, dtype=float)
+            jac_diag = 2.0 * k + alpha + 1.0
+            jac_off = np.sqrt(k[1:] * (k[1:] + alpha))
+            nodes = scipy.linalg.eigh_tridiagonal(jac_diag, jac_off,
+                                                  eigvals_only=True)
+            sq_sum, shifts = _christoffel_sums(nodes, jac_diag, jac_off)
+            want_sq, want_shifts = plain_christoffel_sums(nodes, jac_diag,
+                                                          jac_off)
+            assert sq_sum.tobytes() == want_sq.tobytes(), alpha
+            assert shifts.tobytes() == want_shifts.tobytes(), alpha
+            rescaled |= bool(shifts.any())
+        assert rescaled or n < 200
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -49,9 +49,10 @@ def test_replay_parity_prints_one_table_per_workload():
 
 def test_fixed_argv_list_is_replayed_on_every_run():
     # Every table command in json, ham and verify --quick in each format,
-    # and one --out report: all outside the benchmark streams.
+    # displace at orders not divisible by 3 and at zero angles, and one
+    # --out report: all outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (1, 0),
+    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (3, 0),
                      "ham": (2, 0), "resolution": (1, 0), "spectrum": (1, 0),
                      "verify": (3, 0), "wavefunction": (1, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
@@ -64,6 +65,9 @@ def test_fixed_argv_list_is_replayed_on_every_run():
         "verify --quick", "verify --quick --format csv",
         "verify --quick --format json"]
     assert sum("--out {out}" in a for a in argvs) == 1
+    # displace at an order not divisible by 3, and at each zero angle.
+    assert {"displace --s 1.75 --x 0 --p 3 --n 451",
+            "displace --s 4.2 --x -1.3 --p 0 --n 301 --format json"} <= set(argvs)
 
 
 def test_replay_compares_the_out_file(tmp_path):

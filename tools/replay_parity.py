@@ -11,8 +11,9 @@ first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
 and stderr; library jobs on np.asarray(value).tobytes(), the
 TruncationWarning flag and any escaped exception. Every run also replays
 FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
-`verify --quick` in each format, a report written with --out, whose file is
-compared too), as a table named "fixed". Prints, per workload, a table of
+`verify --quick` in each format, `displace` at orders not divisible by 3
+and at a zero angle, a report written with --out, whose file is compared
+too), as a table named "fixed". Prints, per workload, a table of
 identical and differing counts per job kind and the first difference; exits
 1 on any difference.
 """
@@ -43,6 +44,10 @@ FIXED = (
      "--grid", "-2:8:50", "--format", "json"),
     ("resolution", "--s", "1.75", "--n", "8", "--format", "json"),
     ("displace", "--s", "1.75", "--x", "0.5", "--p", "1", "--n", "150",
+     "--format", "json"),
+    # An order not divisible by 3 at zero shift angle; zero boost angle.
+    ("displace", "--s", "1.75", "--x", "0", "--p", "3", "--n", "451"),
+    ("displace", "--s", "4.2", "--x", "-1.3", "--p", "0", "--n", "301",
      "--format", "json"),
     ("verify", "--quick"),
     ("verify", "--quick", "--format", "csv"),
