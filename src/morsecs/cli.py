@@ -253,12 +253,9 @@ def _cmd_displace(args):
     n = int(args.n)
     label = _resolve_label(args, s)
     ps = coherent.to_phase_space(label, s)
-    d_xp, d_px = coherent._compared_orderings(ps, s, n)
-    unit = float(np.abs(d_xp.conj().T @ d_xp - np.eye(n)).max())
+    unit, d_e0, ordering_dev = coherent.displacement_check(ps, s, n)
     target = coherent.coefficients(label, s, n).coeffs
-    fidelity = float(abs(np.vdot(target, d_xp[:, 0])))
-    k = len(d_px)
-    ordering_dev = float(np.abs(d_xp[:k, :k] - d_px).max())
+    fidelity = float(abs(np.vdot(target, d_e0)))
     header = ["n", "unitarity_deviation", "fidelity", "ordering_deviation"]
     columns = [[n], [unit], [fidelity], [ordering_dev]]
     config = {"command": "displace", "s": s, "n": n,

@@ -22,12 +22,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .errors import (CapabilityError, ConsistencyError, DomainError,
                      TruncationWarning)
-from .morse_core import _check_s, _check_y, ground_x_expectation, y_from_x
+from .morse_core import (_check_s, _check_y, _log_basis_norm,
+                         ground_x_expectation, y_from_x)
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
                        log_gamma, symtridiag_eigen)
 from .operators import _band_entries
@@ -51,6 +51,7 @@ __all__ = [
     "phase_space_measure_check",
     "phase_space_tail_estimate",
     "displacement_matrix",
+    "displacement_check",
     "project_onto_basis",
 ]
 
@@ -322,22 +323,21 @@ def expectation_P(label, s: float) -> float:
     return value
 
 
-def _jacobi01_rule(n: int, b: float):
-    """Gauss rule for the weight u^b on [0, 1] (Golub-Welsch, closed-form
-    recurrence coefficients of the shifted Jacobi polynomials)."""
+def _jacobi01_rule(n: int, b: float, a: float = 0.0):
+    """Gauss rule for the weight u^b (1-u)^a on [0, 1], its weights summing
+    to 1 (Golub-Welsch, closed-form recurrence coefficients of the shifted
+    Jacobi polynomials)."""
     k = np.arange(n, dtype=float)
-    # Recurrence on [-1, 1] for weight (1+t)^b, mapped to [0, 1].
+    # Recurrence on [-1, 1] for weight (1-t)^a (1+t)^b, mapped to [0, 1].
+    ab = 2.0 * k + a + b
     with np.errstate(invalid="ignore", divide="ignore"):
-        alpha = np.where(k == 0, b / (b + 2.0),
-                         b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0)))
-        beta_k = (4.0 * k * k * (k + b) ** 2
-                  / ((2.0 * k + b) ** 2 * (2.0 * k + b + 1.0)
-                     * (2.0 * k + b - 1.0)))
-    diag = (1.0 + alpha) / 2.0
-    off = np.sqrt(beta_k[1:]) / 2.0
-    nodes, vecs = scipy.linalg.eigh_tridiagonal(diag, off)
-    weights = vecs[0, :] ** 2 / (b + 1.0)
-    return nodes, weights
+        alpha = np.where(k == 0, (b - a) / (a + b + 2.0),
+                         (b - a) * (b + a) / (ab * (ab + 2.0)))
+        beta_k = (4.0 * k * (k + a) * ((k + b) * (k + a + b))
+                  / (ab ** 2 * (ab + 1.0) * (ab - 1.0)))
+    t = SymTridiagonal((1.0 + alpha) / 2.0, np.sqrt(beta_k[1:]) / 2.0)
+    nodes, vecs = symtridiag_eigen(t, want_vectors=True)
+    return nodes, vecs[0, :] ** 2
 
 
 def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
@@ -368,7 +368,9 @@ def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
     n_angular = int(n_angular)
     if n_radial < 2 or n_angular < 2 * m_basis:
         raise DomainError("quadrature sizes too small for this truncation")
-    u_nodes, u_weights = _jacobi01_rule(n_radial, 2.0 * s - 2.0)
+    b = 2.0 * s - 2.0
+    u_nodes, u_weights = _jacobi01_rule(n_radial, b)
+    u_weights = u_weights / (b + 1.0)   # the mass of u^b on [0, 1]
     radii = np.sqrt(1.0 - u_nodes)
     angles = 2.0 * math.pi * np.arange(n_angular) / n_angular
     n = np.arange(m_basis)
@@ -394,9 +396,9 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     (2s-1)/(4s) b_n b_m (1-|beta|^2)^{2s} with b_n the binomial square
     roots; in the sheared coordinates (x, q = p e^{x}) the q integral of
     the envelope has a closed incomplete-Beta form. The |x| > X strips
-    then integrate in closed form too; the |q| > Q strip is a fine
-    trapezoid in x of a smooth positive function. This is an upper
-    estimate of the envelope mass, not a certified bound on the
+    then integrate in closed form too, and the |q| > Q strip over all x is
+    a 20-point Gauss-Jacobi rule in sqrt(t), t = 1/(1 + e^x). This is an
+    upper estimate of the envelope mass, not a certified bound on the
     oscillatory error.
     """
     s = _check_s(s)
@@ -406,37 +408,61 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     box_x, box_q = float(box[0]), float(box[1])
     if box_x <= 0.0 or box_q <= 0.0:
         raise DomainError("box extents must be positive")
-    half_beta = 0.5 * math.exp(log_gamma(0.5) + log_gamma(2.0 * s - 0.5)
-                               - log_gamma(2.0 * s))
-    # |q| > Q strip, all x: the envelope e^{-x} (4 e^x / (1 + e^x)^2)^{2s},
-    # assembled with logaddexp so large |x| cannot overflow, times its q
-    # integral beyond Q in closed incomplete-Beta form.
-    x = np.linspace(-box_x - 40.0, box_x + 40.0, 4001)
-    with np.errstate(under="ignore"):
-        core = np.exp(2.0 * s * (math.log(4.0) + x
-                                 - 2.0 * np.logaddexp(0.0, x)) - x)
-    d_sqrt = 1.0 + np.exp(x)
-    u0 = np.sin(np.arctan(box_q / (s * d_sqrt))) ** 2
-    frac = 1.0 - scipy.special.betainc(0.5, 2.0 * s - 0.5, u0)
-    q_integral = 2.0 * s * d_sqrt ** (1.0 - 4.0 * s) * half_beta * frac
-    piece_q = np.trapezoid(core * q_integral, dx=x[1] - x[0])
-    piece_x = _x_strip_mass(s, box_x)
+    pieces = _q_strip_mass(s, box_q) + _x_strip_mass(s, box_x)
     b_max_sq = math.exp(2.0 * _log_binom_sqrt(s, m_basis)[-1])
-    return (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * (piece_q + piece_x)
+    return (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * pieces
+
+
+def _log_envelope_scale(s: float) -> float:
+    # ln(C 4^{2s}), C = 2s B(1/2, 2s - 1/2) / 2: the envelope over all q is
+    # C 4^{2s} e^{(2s-1)x} (1 + e^x)^{1-8s} dx, which t = 1/(1 + e^x) turns
+    # into C 4^{2s} t^{6s-1} (1 - t)^{2s-2} dt.
+    return (math.log(s) + scipy.special.betaln(0.5, 2.0 * s - 0.5)
+            + 2.0 * s * math.log(4.0))
 
 
 def _x_strip_mass(s: float, box_x: float) -> float:
     # The envelope integrated over all q and |x| > box_x, in closed form:
-    # with C = 2s B(1/2, 2s - 1/2) / 2, the integrand is
-    # C 4^{2s} e^{(2s-1)x} (1 + e^x)^{1-8s}; t = 1/(1 + e^x) turns it into
-    # C 4^{2s} t^{6s-1} (1 - t)^{2s-2} dt, so each strip is a regularized
-    # incomplete Beta function at t_X = 1/(1 + e^{box_x}).
+    # each strip is a regularized incomplete Beta function of the t form
+    # at t_X = 1/(1 + e^{box_x}).
     t_x = 1.0 / (1.0 + math.exp(box_x))
     a, b = 2.0 * s - 1.0, 6.0 * s
-    log_scale = (math.log(s) + scipy.special.betaln(0.5, 2.0 * s - 0.5)
-                 + 2.0 * s * math.log(4.0) + scipy.special.betaln(a, b))
+    log_scale = _log_envelope_scale(s) + scipy.special.betaln(a, b)
     return math.exp(log_scale) * float(scipy.special.betainc(a, b, t_x)
                                        + scipy.special.betainc(b, a, t_x))
+
+
+# Points of the Gauss rule for the |q| > Q strip.
+_Q_STRIP_POINTS = 20
+
+
+def _q_strip_mass(s: float, box_q: float) -> float:
+    # The envelope integrated over all x and |q| > box_q: in the t form it
+    # carries the fraction g(t) of its q integral that lies beyond box_q,
+    # g = I_v(2s - 1/2, 1/2) at v = 1 / (1 + tau^2), tau = box_q t / s, the
+    # complementary incomplete Beta by symmetry, so no 1 - I cancels.
+    # Past tau ~ 1, g falls like t^{-d} with d -> 4s - 1. The rule runs in
+    # z = sqrt(t), which spreads out the bend at tau ~ 1, with the Jacobi
+    # weight z^{2a-1} (1 - z)^{2s-2} of a = 6s - d, d the log-slope of g at
+    # the mode of t^{6s-1} (1 - t)^{2s-2}; what it integrates,
+    # 2 t^d (1 + z)^{2s-2} g, is smooth.
+    c, b = 2.0 * s - 0.5, 2.0 * s - 1.0
+    tau = box_q * min(1.0, (6.0 * s - 1.0) / (8.0 * s - 3.0)) / s
+    v = 1.0 / (1.0 + tau * tau)
+    g_mode = scipy.special.betainc(c, 0.5, v)
+    # -d ln g / d ln t = 2 tau v^{c+1/2} / (B(c, 1/2) g), below 2c.
+    d = 2.0 * c if not g_mode > 0.0 else min(2.0 * c, 2.0 * tau * math.exp(
+        (c + 0.5) * math.log(v) - scipy.special.betaln(c, 0.5)) / g_mode)
+    a = 6.0 * s - d
+    z, w = _jacobi01_rule(_Q_STRIP_POINTS, 2.0 * a - 1.0, b - 1.0)
+    t = z * z
+    log_scale = (_log_envelope_scale(s) + scipy.special.betaln(2.0 * a, b)
+                 + math.log(2.0))
+    with np.errstate(over="ignore", divide="ignore", under="ignore"):
+        g = scipy.special.betainc(c, 0.5, 1.0 / (1.0 + (box_q * t / s) ** 2))
+        f = np.exp(log_scale + d * np.log(t) + (b - 1.0) * np.log1p(z)
+                   + np.log(g))
+    return float(w @ f)
 
 
 # Nodes per block of the phase-space sum.
@@ -581,12 +607,27 @@ def displacement_matrix(ps, s: float, n_dim: int):
     return _displacement_pair(ps, s, n_dim, n_dim)
 
 
-def _compared_orderings(ps, s: float, n_dim: int):
-    """d_xp in full and d_px on its leading n_dim // 3 rows and columns,
-    the block away from the truncation edge on which the two orderings are
-    compared; the rest of d_px is never formed. Each entry has the bits of
-    displacement_matrix's."""
-    return _displacement_pair(ps, s, n_dim, int(n_dim) // 3)
+def displacement_check(ps, s: float, n_dim: int):
+    """(unitarity deviation max |D^dag D - I|, D e_0, ordering deviation
+    max |d_xp - d_px| on the leading n_dim // 3 block, away from the
+    truncation edge) for D = d_xp. D e_0 is the view d_xp[:, 0]; only that
+    block of d_px is formed, with displacement_matrix's bits.
+
+    The xp ordering truncates its intermediate state, the label (0, p),
+    first; a TruncationWarning names that state's coefficient tail bound
+    when it exceeds 1e-12.
+    """
+    d_xp, d_px = _displacement_pair(ps, s, n_dim, int(n_dim) // 3)
+    mid = from_phase_space(PhaseSpaceLabel(0.0, _as_ps(ps).p_tilde), s)
+    tail = coefficient_tail_bound(mid, s, len(d_xp))
+    if tail > 1e-12:
+        warnings.warn(
+            f"the xp ordering's intermediate state (0, p) leaves a "
+            f"coefficient tail bound of {tail:.3e} at order {len(d_xp)} "
+            "(above 1e-12); raise --n", TruncationWarning, stacklevel=2)
+    k = len(d_px)
+    return (float(np.abs(d_xp.conj().T @ d_xp - np.eye(len(d_xp))).max()),
+            d_xp[:, 0], float(np.abs(d_xp[:k, :k] - d_px).max()))
 
 
 def _displacement_pair(ps, s: float, n_dim: int, n_px: int):
@@ -653,8 +694,7 @@ def project_onto_basis(wavefunction, s: float, n_terms: int,
     # The rule's weight already carries y^{2s-1} e^{-y}; divide the basis
     # envelope and the measure's 1/y out of the integrand.
     lag = laguerre_sequence(n_terms - 1, 2.0 * s - 1.0, y)
-    log_n = np.array([-0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
-                      for n in range(n_terms)])
+    log_n = np.array([_log_basis_norm(n, s) for n in range(n_terms)])
     rows = lag * np.exp(log_n)[:, None]
     with np.errstate(over="ignore"):
         strip = f_vals * np.exp(0.5 * y - s * np.log(y))

@@ -153,11 +153,15 @@ def _log_envelope(s: float, y: np.ndarray) -> np.ndarray:
     return s * np.log(y) - 0.5 * y
 
 
+def _log_basis_norm(n: int, s: float) -> float:
+    # ln of phi_n's normalizer 1 / sqrt(Gamma(n+2s) / n!).
+    return -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
+
+
 def _phi_from_laguerre(lag, n: int, s: float, log_env: np.ndarray):
     # phi_n from L_n^{2s-1}(y) and the log envelope at the same points.
-    log_norm = -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
     with np.errstate(under="ignore"):
-        return lag * np.exp(log_norm + log_env)
+        return lag * np.exp(_log_basis_norm(n, s) + log_env)
 
 
 def pseudo_wavefunction(n: int, s: float, y):

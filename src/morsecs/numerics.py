@@ -247,8 +247,7 @@ def gauss_laguerre_rule(n_points: int, alpha: float) -> QuadratureRule:
     k = np.arange(n, dtype=float)
     jac_diag = 2.0 * k + alpha + 1.0
     jac_off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes = scipy.linalg.eigh_tridiagonal(jac_diag, jac_off,
-                                          eigvals_only=True)
+    nodes = symtridiag_eigen(SymTridiagonal(jac_diag, jac_off))
 
     sq_sum, shifts = _christoffel_sums(nodes, jac_diag, jac_off)
     log_rescale = 1024.0 * math.log(2.0)
@@ -274,10 +273,10 @@ def symtridiag_eigen(t: SymTridiagonal, want_vectors: bool = False,
                      n_lowest: int | None = None):
     """Eigenvalues (ascending), optionally with orthonormal eigenvectors.
 
-    Returns `values` or `(values, vectors)`; vectors are columns. With
-    `n_lowest` below the order, only the n_lowest smallest eigenpairs are
-    computed, by bisection (LAPACK stebz, then inverse iteration for
-    vectors) at O(order * n_lowest) cost instead of a full solve.
+    Returns `values` or `(values, vectors)`; vectors are columns. A full
+    solve is LAPACK stevd; `n_lowest` below the order selects the lowest
+    pairs by bisection (stebz, then inverse iteration for vectors) at
+    O(order * n_lowest) cost. All tridiagonal eigensolves come here.
     """
     if not isinstance(t, SymTridiagonal):
         raise DomainError("expected a SymTridiagonal")
@@ -289,6 +288,6 @@ def symtridiag_eigen(t: SymTridiagonal, want_vectors: bool = False,
         if n_lowest < t.order:
             select = {"select": "i", "select_range": (0, n_lowest - 1),
                       "tol": _BISECTION_TOL}
-    return scipy.linalg.eigh_tridiagonal(t.diag, t.offdiag,
-                                         eigvals_only=not want_vectors,
-                                         **select)
+    return scipy.linalg.eigh_tridiagonal(
+        t.diag, t.offdiag, eigvals_only=not want_vectors,
+        lapack_driver="stebz" if select else "stevd", **select)

@@ -324,6 +324,26 @@ class TestDisplace:
         assert code == 0
         assert parse_csv(out)[1] == [["300", *want]]
 
+    def test_truncated_intermediate_state_warns(self, capsys):
+        # The xp ordering boosts first: its intermediate state (0, p) has
+        # a coefficient tail bound of 15.5 at order 300, and the report
+        # reads fidelity 0.19. One warning line; the report is unchanged.
+        argv = ("displace", "--s", "0.1", "--x", "3", "--p", "50",
+                "--n", "300")
+        result = run_process(*argv)
+        assert result.returncode == 0
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("morsecs: warning: ")
+        assert "1.552e+01" in lines[0] and "raise --n" in lines[0]
+        assert result.stdout == (
+            "n,unitarity_deviation,fidelity,ordering_deviation\n"
+            "300,1.9984014443252818e-15,0.19028684939320914,"
+            "0.7073067271366488\n")
+        # A small boost is silent at the same order.
+        assert run_process("displace", "--s", "1.75", "--x", "0.5", "--p",
+                           "1", "--n", "300").stderr == ""
+
     def test_order_two_is_one_line_domain_error(self):
         # n // 3 = 0 leaves no block to compare the orderings on.
         result = run_process("displace", "--s", "1.75", "--x", "0.5",

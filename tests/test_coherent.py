@@ -21,8 +21,9 @@ import scipy.special
 
 from morsecs.coherent import (
     _PS_BLOCK,
-    _compared_orderings,
     _log_binom_sqrt,
+    _log_envelope_scale,
+    _q_strip_mass,
     _x_strip_mass,
     _MAX_DISPLACEMENT_ORDER,
     CoherentLabel,
@@ -31,6 +32,7 @@ from morsecs.coherent import (
     PhaseSpaceLabel,
     coefficient_tail_bound,
     coefficients,
+    displacement_check,
     displacement_matrix,
     expectation_P,
     expectation_X,
@@ -51,7 +53,7 @@ from morsecs.errors import (CapabilityError, ConsistencyError, DomainError,
 from morsecs.morse_core import (ground_x_expectation, pseudo_wavefunction,
                                 pseudo_wavefunction_recursive, x_from_y)
 from morsecs.numerics import (SymTridiagonal, digamma, gauss_laguerre_rule,
-                              symtridiag_eigen)
+                              laguerre_sequence, symtridiag_eigen)
 from morsecs.operators import _band_entries, matrix_A
 
 
@@ -287,13 +289,53 @@ class TestExpectations:
             expectation_X(0.3, 1.0)
 
 
+def direct_scipy_jacobi01_rule(n, b):
+    """The radial rule as it was built before every tridiagonal eigensolve
+    went through symtridiag_eigen, and before it took a second exponent:
+    SciPy's default driver, called here, and weights summing to 1 / (b + 1)."""
+    k = np.arange(n, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha = np.where(k == 0, b / (b + 2.0),
+                         b * b / ((2.0 * k + b) * (2.0 * k + b + 2.0)))
+        beta_k = (4.0 * k * k * (k + b) ** 2
+                  / ((2.0 * k + b) ** 2 * (2.0 * k + b + 1.0)
+                     * (2.0 * k + b - 1.0)))
+    nodes, vecs = scipy.linalg.eigh_tridiagonal((1.0 + alpha) / 2.0,
+                                                np.sqrt(beta_k[1:]) / 2.0)
+    return nodes, vecs[0, :] ** 2 / (b + 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 200, 400])
+def test_jacobi01_rule_matches_direct_scipy_bitwise(n):
+    for b in (-0.98, -0.5, 0.0, 1.5, 8.0):
+        nodes, weights = _jacobi01_rule(n, b)
+        want_nodes, want_weights = direct_scipy_jacobi01_rule(n, b)
+        assert nodes.tobytes() == want_nodes.tobytes(), b
+        assert (weights / (b + 1.0)).tobytes() == want_weights.tobytes(), b
+
+
+@pytest.mark.parametrize("b,a", [(0.0, 0.0), (2.5, -0.98), (-0.5, 3.0),
+                                 (1199.0, 398.0)])
+def test_jacobi01_rule_integrates_beta_moments(b, a):
+    # Weight u^b (1-u)^a normalized to 1: the rule's mean of u^k is
+    # B(b+1+k, a+1) / B(b+1, a+1), exact for k < 2n up to rounding (which
+    # reaches 4e-12 relative at b = 1199).
+    nodes, weights = _jacobi01_rule(12, b, a)
+    for k in range(24):
+        want = math.exp(scipy.special.betaln(b + 1.0 + k, a + 1.0)
+                        - scipy.special.betaln(b + 1.0, a + 1.0))
+        assert abs(weights @ nodes ** k - want) <= 1e-10 * want, k
+
+
 def dense_disk_resolution(s, m, n_radial, n_angular):
     """The polar product rule summed over the full (n, r, theta) panel.
 
     It takes the module's radial rule, so only the grouping of the sum
     differs; with scipy's roots_jacobi in its place the result moves by up
     to 1.1e-11 at s = 0.75, too much for this comparison."""
-    u, w = _jacobi01_rule(n_radial, 2.0 * s - 2.0)
+    b = 2.0 * s - 2.0
+    u, w = _jacobi01_rule(n_radial, b)
+    w = w / (b + 1.0)
     r = np.sqrt(1.0 - u)
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
     n = np.arange(m)
@@ -420,6 +462,50 @@ class TestResolutionOfUnity:
             resolution_of_unity(1.75, 8, n_angular=10)
 
 
+def q_strip_mpmath(s, box_q, panels=400):
+    """The |q| > Q strip of the envelope over all x, by 30-digit quadrature:
+    C 4^{2s} B(6s, 2s-1) times the Beta(6s, 2s-1) mean of the q fraction
+    g(t) = I_v(2s - 1/2, 1/2), v = 1 / (1 + (Q t / s)^2). Below s = 1 the
+    weight's (1 - t)^{2s-2} end is taken out by 1 - t = w^{1/(2s-1)}, with
+    breakpoints where Q t / s = 1, 3, 10, 30 and on a 1/32 grid; from s = 1
+    it is Gauss-Legendre on `panels` equal panels in t."""
+    with mpmath.workdps(30):
+        ms, mq = mpmath.mpf(s), mpmath.mpf(box_q)
+        a, b, c = 6 * ms, 2 * ms - 1, 2 * ms - mpmath.mpf(1) / 2
+        scale = ms * mpmath.beta(0.5, c) * 4 ** (2 * ms)
+        g = lambda t: mpmath.betainc(c, 0.5, 0, ms ** 2 / ((mq * t) ** 2
+                                                            + ms ** 2),
+                                     regularized=True)
+        if b < 1:
+            t_of = lambda w: 1 - w ** (1 / b)
+            pts = {mpmath.mpf(0), mpmath.mpf(1)}
+            pts |= {(1 - k * ms / mq) ** b for k in (1, 3, 10, 30)
+                    if k * ms / mq < 1}
+            pts |= {mpmath.mpf(k) / 32 for k in range(1, 32)}
+            return scale * mpmath.quad(
+                lambda w: t_of(w) ** (a - 1) * g(t_of(w)) / b, sorted(pts))
+        log_b = mpmath.log(mpmath.beta(a, b))
+        dens = lambda t: mpmath.exp((a - 1) * mpmath.log(t)
+                                    + (b - 1) * mpmath.log1p(-t) - log_b)
+        return scale * mpmath.beta(a, b) * mpmath.quad(
+            lambda t: dens(t) * g(t),
+            [mpmath.mpf(k) / panels for k in range(panels + 1)],
+            method="gauss-legendre")
+
+
+# q_strip_mpmath(s, Q) for s in rows (0.51, 0.76, 1.75, 2.5, 5, 20, 200)
+# and Q in columns (80, 200, 400); 400 panels from s = 1.
+Q_STRIP_REFERENCE = (
+    (1.02938938661705, 0.396942745148077, 0.193044535410939),
+    (5.08573258987076e-4, 7.845475495159e-5, 1.90777592191314e-5),
+    (1.7494710034014e-10, 7.19157824335729e-13, 1.12426393403708e-14),
+    (3.16270830779578e-14, 8.39052721137169e-18, 1.64159994655829e-20),
+    (7.70785957164643e-24, 2.36376666852084e-31, 4.58136684861859e-37),
+    (4.31421667468177e-52, 6.79799055922174e-81, 3.30509898867959e-104),
+    (2.0103205405215e-165, 1.65807316823414e-224, 6.96208614374439e-339),
+)
+
+
 class TestPhaseSpaceMeasure:
     def test_sheared_box_reaches_tolerance(self):
         with warnings.catch_warnings():
@@ -499,6 +585,33 @@ class TestPhaseSpaceMeasure:
                     + mpmath.quad(f, [-mpmath.inf] + left))
         assert abs(_x_strip_mass(s, box_x) - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("s,want", zip(
+        (0.51, 0.76, 1.75, 2.5, 5.0, 20.0, 200.0), Q_STRIP_REFERENCE))
+    @pytest.mark.parametrize("col,box_q", enumerate((80.0, 200.0, 400.0)))
+    def test_q_strip_matches_mpmath(self, s, want, col, box_q):
+        got = _q_strip_mass(s, box_q)
+        if want[col] < sys.float_info.min:
+            # Below the normal range (s = 200, Q = 400): only the size.
+            assert got < sys.float_info.min
+        else:
+            assert abs(got - want[col]) <= 1e-8 * want[col]
+
+    @pytest.mark.parametrize("s,col,box_q", [(0.76, 1, 200.0),
+                                             (1.75, 1, 200.0)])
+    def test_q_strip_reference_table(self, s, col, box_q):
+        # The table above comes from q_strip_mpmath, one case per route.
+        row = (0.51, 0.76, 1.75, 2.5, 5.0, 20.0, 200.0).index(s)
+        want = q_strip_mpmath(s, box_q, panels=100)
+        assert abs(Q_STRIP_REFERENCE[row][col] - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("s", [0.51, 0.76, 1.75, 20.0, 200.0])
+    def test_q_strip_is_the_whole_envelope_as_the_box_closes(self, s):
+        # At Q -> 0 every q lies outside: the strip is the envelope's total
+        # mass C 4^{2s} B(6s, 2s - 1).
+        total = math.exp(_log_envelope_scale(s)
+                         + scipy.special.betaln(6.0 * s, 2.0 * s - 1.0))
+        assert abs(_q_strip_mass(s, 1e-300) - total) <= 1e-11 * total
+
     def test_tail_estimate_shrinks_with_box(self):
         est = [phase_space_tail_estimate(1.75, 8, box)
                for box in ((4.0, 20.0), (8.0, 80.0), (12.0, 400.0))]
@@ -564,7 +677,7 @@ class TestDisplacement:
                     dev = np.abs(got - want).max()
                     assert dev < 1e-12, (n, ps, ordering, dev)
 
-    @pytest.mark.parametrize("n", [3, 5, 150, 300, 450])
+    @pytest.mark.parametrize("n", [3, 5, 150, 300, 450, 451])
     def test_pair_matches_per_ordering_construction_bitwise(self, n):
         # Above 256 KiB NumPy scales an unnamed temporary in place, which
         # rounds differently; orders from 150 are past that size. At 3 and
@@ -580,12 +693,30 @@ class TestDisplacement:
             for ordering, got in zip(("xp", "px"), pair):
                 want = per_ordering_displacement(ps, s, n, ordering)
                 assert got.tobytes() == want.tobytes(), (n, s, ps, ordering)
-            # The compared path: d_xp in full, d_px on its leading third.
-            d_xp, block = _compared_orderings(ps, s, n)
+            # The checked path forms d_px on its leading third only; its
+            # three numbers are those the full pair gives, bit for bit.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                unit, d_e0, ordering = displacement_check(ps, s, n)
+            d_xp, d_px = pair
             k = n // 3
-            assert block.shape == (k, k)
-            assert d_xp.tobytes() == pair[0].tobytes(), (n, s, ps)
-            assert block.tobytes() == pair[1][:k, :k].tobytes(), (n, s, ps)
+            assert unit == float(np.abs(d_xp.conj().T @ d_xp
+                                        - np.eye(n)).max()), (n, s, ps)
+            assert d_e0.tobytes() == d_xp[:, 0].tobytes(), (n, s, ps)
+            # A view into d_xp, so np.vdot sums it in the same order.
+            assert d_e0.strides == d_xp[:, 0].strides
+            assert ordering == float(np.abs((d_xp - d_px)[:k, :k]).max())
+
+    def test_check_warns_on_truncated_intermediate_state(self):
+        # The xp ordering's intermediate state (0, 50) at s = 0.1 has a
+        # coefficient tail bound of 15.5 at order 300: one warning names
+        # it. A small boost is silent.
+        with pytest.warns(TruncationWarning, match=r"1\.552e\+01") as rec:
+            displacement_check((3.0, 50.0), 0.1, 300)
+        assert len(rec) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            displacement_check((0.5, 1.0), 1.75, 300)
 
     def test_peak_memory_for_both_orderings(self):
         n = 1024
@@ -628,12 +759,28 @@ class TestDisplacement:
         # Order 2 is a legal operator but leaves no block to compare on.
         assert displacement_matrix((0.5, 1.0), 1.75, 2)[1].shape == (2, 2)
         with pytest.raises(DomainError, match="n_dim >= 3"):
-            _compared_orderings((0.5, 1.0), 1.75, 2)
+            displacement_check((0.5, 1.0), 1.75, 2)
         with pytest.raises(CapabilityError, match="supported maximum"):
             displacement_matrix((0.5, 1.0), 1.75, _MAX_DISPLACEMENT_ORDER + 1)
 
 
 class TestProjection:
+    @pytest.mark.parametrize("s", [0.6, 1.75, 4.2, 30.0])
+    def test_bits_of_the_written_out_normalizer(self, s):
+        # The basis normalizer comes from morse_core; the projection keeps
+        # the bits of the expression it used to write out inline.
+        rule = gauss_laguerre_rule(200, 2.0 * s - 1.0)
+        f = lambda y: wavefunction_closed(0.4 + 0.2j, s, y)
+        got = project_onto_basis(f, s, 12, rule)
+        live = rule.weights > 0.0
+        y, w = rule.nodes[live], rule.weights[live]
+        log_n = np.array([-0.5 * (math.lgamma(n + 2.0 * s)
+                                  - math.lgamma(n + 1.0)) for n in range(12)])
+        rows = laguerre_sequence(11, 2.0 * s - 1.0, y) * np.exp(log_n)[:, None]
+        with np.errstate(over="ignore"):
+            strip = f(y) * np.exp(0.5 * y - s * np.log(y))
+        assert got.tobytes() == ((rows * w) @ strip).tobytes()
+
     def test_basis_functions_project_to_unit_vectors(self):
         s = 1.75
         rule = gauss_laguerre_rule(200, 2.0 * s - 1.0)

@@ -15,6 +15,7 @@ from morsecs.numerics import (
     laguerre_generating_sum,
     laguerre_sequence,
     log_gamma,
+    _BISECTION_TOL,
     _christoffel_sums,
     symtridiag_eigen,
 )
@@ -241,6 +242,25 @@ class TestGaussLaguerreRule:
             rescaled |= bool(shifts.any())
         assert rescaled or n < 200
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 200, 512])
+    def test_matches_direct_scipy_construction_bitwise(self, n):
+        # The rule as it was built before its eigensolve went through
+        # symtridiag_eigen: SciPy's default driver, called here.
+        for alpha in (-0.9, 0.0, 2.5, 60.0, 170.0):
+            k = np.arange(n, dtype=float)
+            jac_diag = 2.0 * k + alpha + 1.0
+            jac_off = np.sqrt(k[1:] * (k[1:] + alpha))
+            nodes = scipy.linalg.eigh_tridiagonal(jac_diag, jac_off,
+                                                  eigvals_only=True)
+            sq_sum, shifts = _christoffel_sums(nodes, jac_diag, jac_off)
+            log_w = math.lgamma(alpha + 1.0) - (
+                np.log(sq_sum) + shifts * (1024.0 * math.log(2.0)))
+            with np.errstate(under="ignore"):
+                weights = np.exp(log_w)
+            rule = gauss_laguerre_rule(n, alpha)
+            assert rule.nodes.tobytes() == nodes.tobytes(), alpha
+            assert rule.weights.tobytes() == weights.tobytes(), alpha
+
     def test_validation(self):
         with pytest.raises(DomainError):
             gauss_laguerre_rule(0, 0.0)
@@ -283,6 +303,33 @@ class TestSymTridiagEigen:
         assert np.abs(vecs.T @ vecs - np.eye(12)).max() < 1e-10
         resid = np.abs(dense @ vecs - vecs * vals).max()
         assert resid < 1e-10 * scale
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 200, 451, 512])
+    def test_bits_of_scipy_default_drivers(self, order):
+        # The drivers are named (stevd for a full solve, stebz for a
+        # selected range), and they are the ones SciPy picks by default:
+        # a change of default fails here by name, not in a parity replay.
+        rng = np.random.default_rng(order)
+        k = np.arange(order, dtype=float)
+        for diag, off in ((rng.normal(size=order), rng.normal(size=order - 1)),
+                          (2.0 * k + 3.5, np.sqrt(k[1:] * (k[1:] + 2.5)))):
+            t = SymTridiagonal(diag, off)
+            want = scipy.linalg.eigh_tridiagonal(diag, off)
+            for got, ref in zip(symtridiag_eigen(t, want_vectors=True), want):
+                assert got.tobytes() == ref.tobytes()
+            assert (symtridiag_eigen(t).tobytes()
+                    == scipy.linalg.eigh_tridiagonal(
+                        diag, off, eigvals_only=True).tobytes())
+            for n_low in {1, max(1, order // 3), max(1, order - 1)} - {order}:
+                sel = {"select": "i", "select_range": (0, n_low - 1),
+                       "tol": _BISECTION_TOL}
+                want = scipy.linalg.eigh_tridiagonal(diag, off, **sel)
+                got = symtridiag_eigen(t, want_vectors=True, n_lowest=n_low)
+                for g, r in zip(got, want):
+                    assert g.tobytes() == r.tobytes(), n_low
+                assert (symtridiag_eigen(t, n_lowest=n_low).tobytes()
+                        == scipy.linalg.eigh_tridiagonal(
+                            diag, off, eigvals_only=True, **sel).tobytes())
 
     def test_lowest_selection_matches_full_solve(self):
         rng = np.random.default_rng(5)

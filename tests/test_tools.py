@@ -49,11 +49,13 @@ def test_replay_parity_prints_one_table_per_workload():
 
 def test_fixed_argv_list_is_replayed_on_every_run():
     # Every table command in json, ham and verify --quick in each format,
-    # displace at orders not divisible by 3 and at zero angles, and one
-    # --out report: all outside the benchmark streams.
+    # displace at orders not divisible by 3, at zero angles and with a
+    # truncated intermediate state, spectrum at 512 levels, a radial rule
+    # at b = -0.98, and one --out report: all outside the benchmark
+    # streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (3, 0),
-                     "ham": (2, 0), "resolution": (1, 0), "spectrum": (1, 0),
+    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (4, 0),
+                     "ham": (2, 0), "resolution": (2, 0), "spectrum": (2, 0),
                      "verify": (3, 0), "wavefunction": (1, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
@@ -68,6 +70,11 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # displace at an order not divisible by 3, and at each zero angle.
     assert {"displace --s 1.75 --x 0 --p 3 --n 451",
             "displace --s 4.2 --x -1.3 --p 0 --n 301 --format json"} <= set(argvs)
+    # The displace warning line, every spectrum block at order 512, and a
+    # Jacobi rule the streams never draw.
+    assert {"displace --s 0.1 --x 3 --p 50 --n 300", "spectrum --s 511.5",
+            "resolution --s 0.51 --n 8 --quad-points 400 --angular 32"
+            } <= set(argvs)
 
 
 def test_replay_compares_the_out_file(tmp_path):

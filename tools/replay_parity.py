@@ -11,11 +11,12 @@ first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
 and stderr; library jobs on np.asarray(value).tobytes(), the
 TruncationWarning flag and any escaped exception. Every run also replays
 FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
-`verify --quick` in each format, `displace` at orders not divisible by 3
-and at a zero angle, a report written with --out, whose file is compared
-too), as a table named "fixed". Prints, per workload, a table of
-identical and differing counts per job kind and the first difference; exits
-1 on any difference.
+`verify --quick` in each format, `displace` at orders not divisible by 3,
+at a zero angle and with a truncated intermediate state, `spectrum` with
+512 levels, a radial rule at b = -0.98, a report written with --out, whose
+file is compared too), as a table named "fixed". Prints, per workload, a
+table of identical and differing counts per job kind and the first
+difference; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -49,6 +50,13 @@ FIXED = (
     ("displace", "--s", "1.75", "--x", "0", "--p", "3", "--n", "451"),
     ("displace", "--s", "4.2", "--x", "-1.3", "--p", "0", "--n", "301",
      "--format", "json"),
+    # A truncated intermediate state: one warning line on stderr.
+    ("displace", "--s", "0.1", "--x", "3", "--p", "50", "--n", "300"),
+    # 512 levels: every level-adapted eigensolve at its largest order.
+    ("spectrum", "--s", "511.5"),
+    # A radial Jacobi rule at b = 2s - 2 = -0.98.
+    ("resolution", "--s", "0.51", "--n", "8", "--quad-points", "400",
+     "--angular", "32"),
     ("verify", "--quick"),
     ("verify", "--quick", "--format", "csv"),
     ("verify", "--quick", "--format", "json"),
