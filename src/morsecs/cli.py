@@ -19,6 +19,7 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 
 from . import __version__, coherent, morse_core, operators, verify
 from .errors import (CapabilityError, ConsistencyError, DomainError,
@@ -88,6 +89,33 @@ def _is_float_array(col) -> bool:
     return isinstance(col, np.ndarray) and col.dtype == np.float64
 
 
+def _float_cells(col) -> list:
+    """float.__repr__ of every cell of a float64 array, in one pass.
+
+    orjson spells each value by the same shortest round-trip rule as repr.
+    Its text differs in the exponent, which is mended here, and in two
+    kinds of cell, which keep repr: 1e-5 <= |v| < 1e-4, which orjson writes
+    positionally (0.000015), and the non-finite values it writes as null.
+    """
+    if not col.size:
+        return []
+    text = orjson.dumps(np.ascontiguousarray(col),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    # Every "e" is an exponent, so each piece after the first starts with
+    # one and runs to the next: repr signs it (1e16 -> 1e+16) and pads a
+    # negative one to two digits (2.5e-7 -> 2.5e-07).
+    head, *tails = text[1:-1].split("e")
+    cells = "e".join([head] + [
+        "+" + t if t[0] != "-"
+        else "-0" + t[1:] if len(t) == 2 or t[2] == "," else t
+        for t in tails]).split(",")
+    size = np.abs(col)
+    kept = np.flatnonzero(((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(col))
+    for i, value in zip(kept.tolist(), col[kept].tolist()):
+        cells[i] = float.__repr__(value)
+    return cells
+
+
 def _csv_field(text: str) -> str:
     # Minimal quoting, as the csv module's writer does with a "\n" line
     # terminator: only a comma, a quote or a newline needs quotes.
@@ -103,7 +131,7 @@ def _csv_table(header, columns) -> str:
     which never need quotes); any other column cell by cell.
     """
     cells = [[_csv_field(name)]
-             + (list(map(float.__repr__, col.tolist())) if _is_float_array(col)
+             + (_float_cells(col) if _is_float_array(col)
                 else [_csv_field(_cell(v)) for v in col])
              for name, col in zip(header, columns)]
     return "\n".join(map(",".join, zip(*cells))) + "\n"

@@ -340,6 +340,15 @@ def _jacobi01_rule(n: int, b: float, a: float = 0.0):
     return nodes, vecs[0, :] ** 2
 
 
+# Largest disk quadrature. The radial rule keeps n_radial^2 eigenvector
+# entries (32 MiB at its cap) and the angular panel m_basis x n_angular
+# complex entries, with m_basis <= n_angular / 2 (32 MiB at its cap). At
+# both caps (m_basis = 1024) one call peaks at 104 MB (tracemalloc) and
+# takes about 1.2 s.
+_MAX_RADIAL_POINTS = 2048
+_MAX_ANGULAR_POINTS = 2048
+
+
 def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
                         n_angular: int = 64) -> np.ndarray:
     """Integral of |beta><beta| over the disk with the invariant measure.
@@ -356,7 +365,8 @@ def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
     into a radial and an angular factor, so the double sum is the entrywise
     product of a radial Gram matrix and an angular Gram matrix. Memory is
     O(m_basis (n_radial + n_angular) + n_radial^2), the last term for the
-    radial rule's eigenvectors.
+    radial rule's eigenvectors. Sizes above _MAX_RADIAL_POINTS or
+    _MAX_ANGULAR_POINTS raise CapabilityError before anything is allocated.
     """
     s = _check_s(s)
     if s <= 0.5:
@@ -366,6 +376,11 @@ def resolution_of_unity(s: float, m_basis: int, n_radial: int = 200,
         raise DomainError("m_basis must be >= 1")
     n_radial = int(n_radial)
     n_angular = int(n_angular)
+    if n_radial > _MAX_RADIAL_POINTS or n_angular > _MAX_ANGULAR_POINTS:
+        raise CapabilityError(
+            f"quadrature of {n_radial} radial x {n_angular} angular points "
+            f"exceeds the supported maximum of {_MAX_RADIAL_POINTS} x "
+            f"{_MAX_ANGULAR_POINTS}")
     if n_radial < 2 or n_angular < 2 * m_basis:
         raise DomainError("quadrature sizes too small for this truncation")
     b = 2.0 * s - 2.0

@@ -33,6 +33,26 @@ def run_process(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from morsecs.cli import main
+sys.exit(main({argv!r}))
+"""
+
+
+def assert_refused_under_cap(*argv):
+    """Under a 1 GiB address-space cap the CLI must refuse argv before
+    allocating, with exit 2 and one line."""
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN.format(argv=list(argv))],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("morsecs: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -272,29 +292,27 @@ class TestResolution:
         assert len(rows) == 1
         assert float(rows[0][3]) < 1e-10
 
-
-# The displacement operator is dense, O(n^2) memory: order 20000 would need
-# more than 10 GB. Under a 1 GiB address-space cap the CLI must refuse it
-# before allocating, with exit 2 and one line.
-_CAPPED_DISPLACE = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from morsecs.cli import main
-sys.exit(main(["displace", "--s", "1.75", "--x", "0.5", "--p", "1",
-               "--n", "20000"]))
-"""
+    # An angular panel of 10^8 columns (4.8 GB at n = 3) and a radial rule
+    # of 10^6 points (its eigenvectors alone 8 TB).
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("sizes", [
+        ("--n", "3", "--angular", "100000000", "--quad-points", "2"),
+        ("--n", "3", "--quad-points", "1000000"),
+    ])
+    def test_sizes_beyond_memory_bound_are_one_line_capability_error(
+            self, sizes):
+        assert_refused_under_cap("resolution", "--s", "1.75", *sizes)
 
 
 class TestDisplace:
+    # The displacement operator is dense, O(n^2) memory: order 20000 would
+    # need more than 10 GB.
     @pytest.mark.skipif(sys.platform != "linux",
                         reason="RLIMIT_AS caps the address space on Linux")
     def test_order_beyond_memory_bound_is_one_line_capability_error(self):
-        result = subprocess.run([sys.executable, "-c", _CAPPED_DISPLACE],
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 2, result.stderr
-        assert result.stdout == ""
-        assert result.stderr.startswith("morsecs: ")
-        assert result.stderr.count("\n") == 1, result.stderr
+        assert_refused_under_cap("displace", "--s", "1.75", "--x", "0.5",
+                                 "--p", "1", "--n", "20000")
 
     def test_report_values(self, capsys):
         code, out, _ = run(capsys, "displace", "--s", "1.75",
@@ -428,6 +446,27 @@ class TestTables:
                                     max_size=len(columns)))
         rows = [list(row) for row in zip(*columns)]
         assert _csv_table(header, columns) == numpy_scalar_table(header, rows)
+
+    def test_float_columns_spell_every_cell_as_repr(self):
+        # Seeded bit patterns (subnormals, non-finite and every binade),
+        # the edges of repr's positional range [1e-4, 1e16) and of the
+        # decade 1e-5 <= |v| < 1e-4, and exponents e-05 to e-10 and e+16
+        # to e+308 with their neighbours, both signs.
+        rng = np.random.default_rng(16)
+        bits = rng.integers(0, 2 ** 64, size=10 ** 6, dtype=np.uint64)
+        exponents = [*range(-10, -4), *range(16, 309)]
+        powers = np.array([float(f"{m}e{k}") for k in exponents
+                           for m in ("1", "2.5")])
+        edges = np.concatenate([
+            [0.0, 5e-324, np.finfo(float).max, np.inf, np.nan, 1e-5,
+             np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            rng.uniform(1e-5, 1e-4, 1000)])
+        col = np.concatenate([bits.view(np.float64), edges, -edges])
+        lines = _csv_table(["v"], [col]).split("\n")
+        assert lines[0] == "v" and lines[-1] == ""
+        assert lines[1:-1] == list(map(float.__repr__, col.tolist()))
+        assert _csv_table(["v", "w"], [np.array([]), np.array([])]) == "v,w\n"
 
     def test_basis_table_bytes(self, capsys):
         _, out, _ = run(capsys, "basis", "--s", "2.3", "--n-max", "20",

@@ -25,7 +25,9 @@ from morsecs.coherent import (
     _log_envelope_scale,
     _q_strip_mass,
     _x_strip_mass,
+    _MAX_ANGULAR_POINTS,
     _MAX_DISPLACEMENT_ORDER,
+    _MAX_RADIAL_POINTS,
     CoherentLabel,
     _jacobi01_rule,
     CoherentState,
@@ -460,6 +462,20 @@ class TestResolutionOfUnity:
     def test_angular_undersampling_rejected(self):
         with pytest.raises(DomainError):
             resolution_of_unity(1.75, 8, n_angular=10)
+
+    @pytest.mark.parametrize("sizes", [
+        {"n_radial": _MAX_RADIAL_POINTS + 1},
+        {"n_angular": _MAX_ANGULAR_POINTS + 1},
+        {"n_radial": 10 ** 9, "n_angular": 10 ** 9},
+    ])
+    def test_sizes_beyond_caps_are_capability_errors(self, sizes):
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            resolution_of_unity(1.75, 3, **sizes)
+
+    def test_sizes_at_caps_are_legal(self):
+        out = resolution_of_unity(1.75, 3, n_radial=_MAX_RADIAL_POINTS,
+                                  n_angular=_MAX_ANGULAR_POINTS)
+        assert np.abs(out - math.pi * np.eye(3)).max() < 1e-10
 
 
 def q_strip_mpmath(s, box_q, panels=400):

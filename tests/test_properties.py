@@ -6,18 +6,22 @@ the same cases.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsecs.coherent import (
+    PhaseSpaceLabel,
     coefficient_tail_bound,
     coefficients,
+    displacement_check,
     from_phase_space,
     overlap,
     to_phase_space,
 )
+from morsecs.errors import TruncationWarning
 from morsecs.morse_core import bound_energy
 from morsecs.operators import _band_entries, bound_spectrum, matrix_H
 
@@ -53,6 +57,25 @@ def test_overlap_matches_coefficient_series(s, b1, b2):
     c2 = coefficients(b2, s, n).coeffs
     series = complex(np.add.reduce(c1.conj() * c2))
     assert abs(series - overlap(b1, b2, s)) < 1e-11
+
+
+@_SETTINGS
+@given(s=st.floats(min_value=0.55, max_value=200.0, exclude_min=True),
+       beta=disk_labels(r_max=0.99), n=st.integers(min_value=3, max_value=150))
+def test_displacement_reproduces_coefficients(s, beta, n):
+    # D e0 is the state of the label up to the weight truncation drops:
+    # that of the state itself and of the xp ordering's intermediate state
+    # (0, p), which the momentum factor produces first.
+    ps = to_phase_space(beta, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        unitarity, d_e0, _ = displacement_check(ps, s, n)
+    fidelity = abs(np.vdot(coefficients(beta, s, n).coeffs, d_e0))
+    mid = from_phase_space(PhaseSpaceLabel(0.0, ps.p_tilde), s)
+    tails = (coefficient_tail_bound(beta, s, n)
+             + coefficient_tail_bound(mid, s, n))
+    assert unitarity <= 1e-10
+    assert 1.0 - fidelity <= tails + 1e-10
 
 
 deep_shape = st.floats(min_value=0.05, max_value=200.0,

@@ -51,18 +51,19 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # Every table command in json, ham and verify --quick in each format,
     # displace at orders not divisible by 3, at zero angles and with a
     # truncated intermediate state, spectrum at 512 levels, a radial rule
-    # at b = -0.98, and one --out report: all outside the benchmark
-    # streams.
+    # at b = -0.98, one --out report, and CSV cells with exponents from
+    # e-09 to e+17: all outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"basis": (2, 0), "coherent": (1, 0), "displace": (4, 0),
-                     "ham": (2, 0), "resolution": (2, 0), "spectrum": (2, 0),
+    assert fixed == {"basis": (3, 0), "coherent": (1, 0), "displace": (4, 0),
+                     "ham": (3, 0), "resolution": (2, 0), "spectrum": (2, 0),
                      "verify": (3, 0), "wavefunction": (1, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
                       "resolution", "displace", "verify"}
     assert {a.split()[0] for a in argvs if "--format json" in a} == table_commands
     assert {a for a in argvs if a.startswith("ham")} == {
-        "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json"}
+        "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json",
+        "ham --s 1e17 --n 3"}
     assert sorted(a for a in argvs if a.startswith("verify")) == [
         "verify --quick", "verify --quick --format csv",
         "verify --quick --format json"]
@@ -75,6 +76,10 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     assert {"displace --s 0.1 --x 3 --p 50 --n 300", "spectrum --s 511.5",
             "resolution --s 0.51 --n 8 --quad-points 400 --angular 32"
             } <= set(argvs)
+    # CSV float cells in the decade 1e-5 <= |v| < 1e-4 and down to e-09,
+    # and e+17 cells.
+    assert {"basis --s 1.75 --n-max 6 --grid 4:12:40",
+            "ham --s 1e17 --n 3"} <= set(argvs)
 
 
 def test_replay_compares_the_out_file(tmp_path):

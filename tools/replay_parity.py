@@ -14,9 +14,10 @@ FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
 `verify --quick` in each format, `displace` at orders not divisible by 3,
 at a zero angle and with a truncated intermediate state, `spectrum` with
 512 levels, a radial rule at b = -0.98, a report written with --out, whose
-file is compared too), as a table named "fixed". Prints, per workload, a
-table of identical and differing counts per job kind and the first
-difference; exits 1 on any difference.
+file is compared too, CSV cells with exponents from e-09 to e+17), as a
+table named "fixed". Prints, per workload, a table of identical and
+differing counts per job kind and the first difference; exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ FIXED = (
     ("verify", "--quick", "--format", "json"),
     ("basis", "--s", "2.3", "--n-max", "20", "--grid", "-1.5:9:300",
      "--out", "{out}"),
+    # CSV float cells from e-05 to e-09, those of 1e-5 <= |v| < 1e-4
+    # among them, and e+17 cells.
+    ("basis", "--s", "1.75", "--n-max", "6", "--grid", "4:12:40"),
+    ("ham", "--s", "1e17", "--n", "3"),
 )
 
 
