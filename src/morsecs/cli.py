@@ -49,6 +49,10 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+# Most grid points, 2 MiB per float64 column at the cap.
+_MAX_GRID_POINTS = 1 << 18
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -59,6 +63,10 @@ def _parse_grid(text: str):
         raise DomainError(f"cannot parse grid from {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or count < 2:
         raise DomainError("--grid needs finite min < max and count >= 2")
+    if count > _MAX_GRID_POINTS:
+        raise CapabilityError(
+            f"grid of {count} points exceeds the supported maximum "
+            f"of {_MAX_GRID_POINTS}")
     return lo, hi, count
 
 
@@ -188,8 +196,9 @@ def _cmd_basis(args):
         raise DomainError("--n-max must be >= 0")
     x = np.linspace(lo, hi, count)
     y = morse_core.y_from_x(x)
-    header = ["y"] + [f"phi{n}" for n in range(n_max + 1)]
+    # The table's size is checked before the header is built.
     columns = [y, *morse_core.pseudo_wavefunctions(n_max, s, y)]
+    header = ["y"] + [f"phi{n}" for n in range(n_max + 1)]
     config = {"command": "basis", "s": s, "n_max": n_max,
               "grid": [lo, hi, count]}
     return _table_output(args, config, header, columns), 0
@@ -213,10 +222,8 @@ def _cmd_spectrum(args):
     count = len(levels)
     threshold = morse_core.ShapeParams(s).continuum_threshold
     formulas = [morse_core.bound_energy(k, s) for k in range(count)]
-    route = "bound levels from level-adapted tridiagonal blocks at sigma = s - n"
-    if s == math.floor(s):
-        route += "; the marginal top level is a Ritz value at sigma = 1"
-    print(route, file=sys.stderr)
+    print("bound levels from level-adapted tridiagonal blocks at sigma = s - n",
+          file=sys.stderr)
     header = ["index", "ritz_value", "formula_value", "abs_diff", "threshold"]
     columns = [range(count), levels, formulas,
                [abs(a - b) for a, b in zip(levels, formulas)], [threshold] * count]

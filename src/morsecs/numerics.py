@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 _MAX_RULE_POINTS = 512
+# Largest Laguerre table, orders x points, 8 MiB of float64 at the cap. It
+# bounds the `basis` and `wavefunction` reports, which peak at about 0.5 GB
+# resident (JSON) at this cap and the grid cap.
+_MAX_LAGUERRE_VALUES = 1 << 20
 # exp(x) is finite exactly for x <= this float, ln of the largest float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -146,7 +150,9 @@ def laguerre_sequence(n_max: int, alpha: float, y) -> np.ndarray:
         n L_n = (2n - 1 + a - y) L_{n-1} - (n - 1 + a) L_{n-2},
     stable for the argument ranges reached by Gauss-Laguerre nodes at the
     orders used here (n up to a few hundred). `y` may be a scalar or an
-    array; the result has shape (n_max + 1,) + shape(y).
+    array; the result has shape (n_max + 1,) + shape(y). A table of more
+    than _MAX_LAGUERRE_VALUES values raises CapabilityError before it is
+    allocated.
     """
     n_max = int(n_max)
     if n_max < 0:
@@ -155,6 +161,10 @@ def laguerre_sequence(n_max: int, alpha: float, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise DomainError("y must be finite and >= 0")
+    if (n_max + 1) * y.size > _MAX_LAGUERRE_VALUES:
+        raise CapabilityError(
+            f"{n_max + 1} Laguerre orders at {y.size} points exceed the "
+            f"supported maximum of {_MAX_LAGUERRE_VALUES} values")
     out = np.empty((n_max + 1,) + y.shape, dtype=float)
     out[0] = 1.0
     if n_max >= 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapabilityError, DomainError
 from .morse_core import (LogGrid, _check_s, apply_operator_fd,
-                         bound_state_count, ground_energy, pseudo_wavefunction)
+                         bound_state_count, pseudo_wavefunction)
 from .numerics import SymTridiagonal, symtridiag_eigen
 
 __all__ = [
@@ -59,6 +59,23 @@ def matrix_Adag(s: float, k: int, n: int) -> np.ndarray:
     return matrix_A(s, k, n).T
 
 
+# Largest Hamiltonian block, 2 MiB per float64 array at the cap; `ham` at
+# the cap peaks at about 0.2 GB resident in either format.
+_MAX_MATRIX_ORDER = 1 << 18
+
+
+def _h_block(s: float, n: int, sigma: float) -> SymTridiagonal:
+    """matrix_H(s, n, sigma) unvalidated. Its entries are polynomial in sigma,
+    so it has a limit at sigma = 0, where no basis exists: there the first
+    row decouples, with diagonal 1/4 + s(s + 1) = (s + 1/2)^2 exactly."""
+    m = np.arange(n, dtype=float)
+    d = s - sigma
+    diag = (2.0 * m * (m + sigma - 0.5) + (sigma + 0.25)
+            + d * (s + sigma + 1.0 - 2.0 * (m + sigma)))
+    off = (d - m[:-1]) * _band_entries(sigma, n) + 0.0  # -0.0 -> 0.0 at the head
+    return SymTridiagonal(diag, off)
+
+
 def matrix_H(s: float, n: int, sigma: float | None = None) -> SymTridiagonal:
     """Hamiltonian block of H(s) = Adag(s) A(s) + E_0(s) I in the basis at
     parameter sigma (default s), assembled in closed form.
@@ -68,19 +85,20 @@ def matrix_H(s: float, n: int, sigma: float | None = None) -> SymTridiagonal:
     -b_m(sigma)), so the (m, m+1) coupling is (d - m) b_m(sigma) and the
     block is tridiagonal, exactly symmetric, and the leading block of the
     infinite matrix. At sigma = s the (0, 1) entry is exactly zero, so e_0
-    is an exact eigenvector with eigenvalue E_0.
+    is an exact eigenvector with eigenvalue E_0. Sigma must be positive, as
+    the basis exists only there; bound_spectrum alone takes the sigma = 0
+    limit. Orders above _MAX_MATRIX_ORDER raise CapabilityError before
+    anything is allocated.
     """
     s = _check_s(s)
     sigma = s if sigma is None else _check_s(sigma)
     n = int(n)
     if n < 2:
         raise DomainError("need n >= 2")
-    m = np.arange(n, dtype=float)
-    d = s - sigma
-    diag = (2.0 * m * (m + sigma - 0.5) + ground_energy(sigma)
-            + d * (s + sigma + 1.0 - 2.0 * (m + sigma)))
-    off = (d - m[:-1]) * _band_entries(sigma, n) + 0.0  # -0.0 -> 0.0 at the head
-    return SymTridiagonal(diag, off)
+    if n > _MAX_MATRIX_ORDER:
+        raise CapabilityError(
+            f"order {n} exceeds the supported maximum of {_MAX_MATRIX_ORDER}")
+    return _h_block(s, n, sigma)
 
 
 def commutator(ma: np.ndarray, mb: np.ndarray) -> np.ndarray:
@@ -129,9 +147,8 @@ def bound_spectrum(s: float) -> np.ndarray:
     Shape invariance puts psi_0 .. psi_n of H(s) inside the first n + 1
     basis states at sigma = s - n, where the (n, n+1) coupling vanishes, so
     level n is value n of the order-(n + 2) block there, exact up to
-    rounding; level 0 is s + 1/4 to the bit. For integer s the top level
-    has no basis at sigma = 0: it is a Ritz value at sigma = 1, of order
-    max(200, 16 (n + 2)), above the threshold (by at most 0.26 for s < 512).
+    rounding; level 0 is s + 1/4 to the bit. For integer s the top level has
+    sigma = 0, where the block's limit gives the threshold (s + 1/2)^2 exactly.
     """
     s = _check_s(s)
     count = bound_state_count(s)
@@ -139,15 +156,8 @@ def bound_spectrum(s: float) -> np.ndarray:
         raise CapabilityError(
             f"{count} bound levels exceed the supported maximum "
             f"of {_MAX_BOUND_LEVELS}")
-    levels = np.empty(count)
-    for n in range(count):
-        sigma = s - n
-        if sigma > 0.0:
-            levels[n] = symtridiag_eigen(matrix_H(s, n + 2, sigma))[n]
-        else:
-            h = matrix_H(s, max(200, 16 * (n + 2)), 1.0)
-            levels[n] = symtridiag_eigen(h, n_lowest=n + 1)[n]
-    return levels
+    return np.array([symtridiag_eigen(_h_block(s, n + 2, s - n))[n]
+                     for n in range(count)])
 
 
 _ORACLE_OPS = ("A", "Adag", "H")

@@ -49,8 +49,7 @@ def _check_gram(quick: bool):
     s, n_basis = 1.75, (12 if quick else 30)
     rule = numerics.gauss_laguerre_rule(128 if quick else 200, 2.0 * s - 1.0)
     env = np.exp(s * np.log(rule.nodes) - 0.5 * rule.nodes)
-    rows = np.vstack([morse_core.pseudo_wavefunction(n, s, rule.nodes) / env
-                      for n in range(n_basis + 1)])
+    rows = morse_core.pseudo_wavefunctions(n_basis, s, rule.nodes) / env
     gram = (rows * rule.weights) @ rows.T
     dev = np.abs(gram - np.eye(n_basis + 1)).max()
     yield _below("basis orthonormality under native rule", dev, 1e-10)
@@ -60,8 +59,8 @@ def _check_recursion(quick: bool):
     s, n_top = 1.75, (8 if quick else 20)
     rule = numerics.gauss_laguerre_rule(96 if quick else 160, 2.0 * s - 1.0)
     dev = 0.0
-    for n in range(n_top + 1):
-        direct = morse_core.pseudo_wavefunction(n, s, rule.nodes)
+    for n, direct in enumerate(
+            morse_core.pseudo_wavefunctions(n_top, s, rule.nodes)):
         rec = morse_core.pseudo_wavefunction_recursive(n, s, rule.nodes)
         dev = max(dev, float(np.abs(direct - rec).max()))
     yield _below("recursive evaluation matches direct form", dev, 1e-9)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morsecs import coherent, morse_core
+from morsecs import cli, coherent, morse_core
 from morsecs.cli import _csv_table, main
 
 
@@ -169,10 +169,13 @@ class TestSpectrum:
         assert result.returncode == 0, result.stderr
         lines = result.stderr.splitlines()
         assert lines[0].startswith("morsecs: warning: s = 3.0 is an integer")
-        assert "level-adapted" in lines[1]
+        assert lines[1] == ("bound levels from level-adapted tridiagonal "
+                            "blocks at sigma = s - n")
         assert len(lines) == 2, result.stderr
         _, rows = parse_csv(result.stdout)
         assert len(rows) == 4
+        # The marginal level is the threshold, exactly.
+        assert rows[3] == ["3", "12.25", "12.25", "0.0", "12.25"]
 
     def test_level_bound_is_one_line_capability_error(self, capsys):
         code, out, err = run(capsys, "spectrum", "--s", "512.5")
@@ -303,6 +306,34 @@ class TestResolution:
     def test_sizes_beyond_memory_bound_are_one_line_capability_error(
             self, sizes):
         assert_refused_under_cap("resolution", "--s", "1.75", *sizes)
+
+
+class TestSizeCaps:
+    # Each asks for 1.6 to 3.2 GB (a matrix, a grid, a coefficient vector,
+    # a Laguerre table of orders x points) unless its size is refused first.
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("argv", [
+        ("ham", "--s", "1.75", "--n", "400000000"),
+        ("basis", "--s", "1.75", "--grid", "0:1:400000000"),
+        ("coherent", "--s", "1.75", "--beta", "0.3", "--n", "400000000"),
+        ("basis", "--s", "1.75", "--n-max", "2000000", "--grid", "0:1:100"),
+        ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "2000000",
+         "--grid", "0:1:100"),
+    ])
+    def test_sizes_beyond_memory_bound_are_one_line_capability_error(
+            self, argv):
+        assert_refused_under_cap(*argv)
+
+    def test_grid_bound(self, capsys, monkeypatch):
+        # The bound admits exactly _MAX_GRID_POINTS points.
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
+        assert run(capsys, "basis", "--s", "1.75", "--grid", "0:1:4")[0] == 0
+        code, out, err = run(capsys, "wavefunction", "--s", "1.75",
+                             "--beta", "0.3", "--grid", "0:1:5")
+        assert (code, out) == (2, "")
+        assert err == ("morsecs: grid of 5 points exceeds the supported "
+                       "maximum of 4\n")
 
 
 class TestDisplace:

@@ -19,6 +19,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
+from morsecs import coherent
 from morsecs.coherent import (
     _PS_BLOCK,
     _log_binom_sqrt,
@@ -134,6 +135,13 @@ class TestCoefficients:
     def test_bad_sizes(self):
         with pytest.raises(DomainError):
             coefficients(0.1, 1.0, 0)
+
+    def test_term_bound(self, monkeypatch):
+        # The bound admits exactly _MAX_COEFFICIENTS terms.
+        monkeypatch.setattr(coherent, "_MAX_COEFFICIENTS", 4)
+        assert coefficients(0.3, 1.75, 4).n_terms == 4
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            coefficients(0.3, 1.75, 5)
 
 
 class TestOverlap:

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.special import logsumexp
 
+from morsecs import numerics
 from morsecs.errors import CapabilityError, DomainError
 from morsecs.numerics import (
     QuadratureRule,
@@ -108,6 +109,16 @@ class TestLaguerreSequence:
             laguerre_sequence(2, -1.0, 1.0)
         with pytest.raises(DomainError):
             laguerre_sequence(2, 0.0, -0.1)
+
+    def test_table_bound(self, monkeypatch):
+        # The bound admits exactly _MAX_LAGUERRE_VALUES orders x points.
+        monkeypatch.setattr(numerics, "_MAX_LAGUERRE_VALUES", 6)
+        assert laguerre_sequence(2, 0.5, [1.0, 2.0]).shape == (3, 2)
+        assert laguerre_sequence(5, 0.5, 1.0).shape == (6,)
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            laguerre_sequence(2, 0.5, [1.0, 2.0, 3.0])
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            laguerre_sequence(6, 0.5, 1.0)
 
 
 class TestGeneratingSum:

@@ -164,14 +164,14 @@ class TestSpectrum:
         for k in range(3):
             assert abs(vals[k] - bound_energy(k, 3.0)) <= 1e-14 * vals[k], k
         assert vals[0] == 3.25
-        # The marginal level is a Ritz value just above the threshold.
-        assert 0.0 < vals[3] - 3.5 ** 2 < 0.2
+        # The marginal level is the sigma = 0 limit block's threshold row.
+        assert vals[3] == 3.5 ** 2
 
-    @pytest.mark.parametrize("s", [60, 200])
+    @pytest.mark.parametrize("s", [1, 3, 60, 200, 511])
     def test_marginal_level_stays_near_threshold(self, s):
         with pytest.warns(MarginalStateWarning):
             top = bound_spectrum(float(s))[-1]
-        assert 0.0 < top - (s + 0.5) ** 2 <= 0.3
+        assert top == (s + 0.5) ** 2
 
     def test_near_integer_shapes(self):
         for s in (np.nextafter(3.0, 4.0), np.nextafter(3.0, 0.0),
@@ -186,7 +186,7 @@ class TestSpectrum:
         with pytest.warns(MarginalStateWarning):
             vals = bound_spectrum(200)
         assert len(vals) == 201
-        assert vals[200] > 200.5 ** 2
+        assert vals[200] == 200.5 ** 2
         with pytest.raises(CapabilityError, match="supported maximum"):
             bound_spectrum(512.5)
         # The bound admits exactly _MAX_BOUND_LEVELS levels.
@@ -202,6 +202,15 @@ class TestSpectrum:
                 assert matrix_H(s, n + 2, s - n).offdiag[n] == 0.0
         with pytest.raises(DomainError):
             matrix_H(1.75, 4, sigma=0.0)
+
+    def test_order_bound(self, monkeypatch):
+        # The bound admits exactly _MAX_MATRIX_ORDER rows.
+        monkeypatch.setattr(operators, "_MAX_MATRIX_ORDER", 4)
+        assert matrix_H(1.75, 4).order == 4
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            matrix_H(1.75, 5)
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            spectrum(1.75, 5, 1)
 
     def test_ritz_vector_residual(self):
         vals, vecs = symtridiag_eigen(matrix_H(1.75, 120), want_vectors=True,

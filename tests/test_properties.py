@@ -21,7 +21,7 @@ from morsecs.coherent import (
     overlap,
     to_phase_space,
 )
-from morsecs.errors import TruncationWarning
+from morsecs.errors import MarginalStateWarning, TruncationWarning
 from morsecs.morse_core import bound_energy
 from morsecs.operators import _band_entries, bound_spectrum, matrix_H
 
@@ -78,19 +78,22 @@ def test_displacement_reproduces_coefficients(s, beta, n):
     assert 1.0 - fidelity <= tails + 1e-10
 
 
-deep_shape = st.floats(min_value=0.05, max_value=200.0,
-                       exclude_min=True).filter(lambda s: s != math.floor(s))
+deep_shape = st.floats(min_value=0.05, max_value=200.0, exclude_min=True)
 
 
 @_SETTINGS
-@given(s=deep_shape)
+@given(s=deep_shape | st.integers(min_value=1, max_value=200).map(float))
 def test_bound_spectrum_matches_formula(s):
-    vals = bound_spectrum(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStateWarning)
+        vals = bound_spectrum(s)
     assert len(vals) == math.floor(s + 1.0)
     assert vals[0] == s + 0.25
     for k, v in enumerate(vals):
         e = bound_energy(k, s)
         assert abs(v - e) <= 1e-14 * e, k
+    if s == math.floor(s):
+        assert vals[-1] == (s + 0.5) ** 2
 
 
 @_SETTINGS

@@ -50,12 +50,13 @@ def test_replay_parity_prints_one_table_per_workload():
 def test_fixed_argv_list_is_replayed_on_every_run():
     # Every table command in json, ham and verify --quick in each format,
     # displace at orders not divisible by 3, at zero angles and with a
-    # truncated intermediate state, spectrum at 512 levels, a radial rule
-    # at b = -0.98, one --out report, and CSV cells with exponents from
-    # e-09 to e+17: all outside the benchmark streams.
+    # truncated intermediate state, spectrum at 512 levels and at integer
+    # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
+    # report, and CSV cells with exponents from e-09 to e+17: all outside
+    # the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
     assert fixed == {"basis": (3, 0), "coherent": (1, 0), "displace": (4, 0),
-                     "ham": (3, 0), "resolution": (2, 0), "spectrum": (2, 0),
+                     "ham": (3, 0), "resolution": (2, 0), "spectrum": (4, 0),
                      "verify": (3, 0), "wavefunction": (1, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
@@ -76,6 +77,8 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     assert {"displace --s 0.1 --x 3 --p 50 --n 300", "spectrum --s 511.5",
             "resolution --s 0.51 --n 8 --quad-points 400 --angular 32"
             } <= set(argvs)
+    # The marginal row of an integer s at 4 and at 512 levels.
+    assert {"spectrum --s 3", "spectrum --s 511"} <= set(argvs)
     # CSV float cells in the decade 1e-5 <= |v| < 1e-4 and down to e-09,
     # and e+17 cells.
     assert {"basis --s 1.75 --n-max 6 --grid 4:12:40",

@@ -13,9 +13,9 @@ TruncationWarning flag and any escaped exception. Every run also replays
 FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
 `verify --quick` in each format, `displace` at orders not divisible by 3,
 at a zero angle and with a truncated intermediate state, `spectrum` with
-512 levels, a radial rule at b = -0.98, a report written with --out, whose
-file is compared too, CSV cells with exponents from e-09 to e+17), as a
-table named "fixed". Prints, per workload, a table of identical and
+512 levels and at integer s with 4 and 512 levels, a radial rule at
+b = -0.98, a report written with --out, whose file is compared too, CSV
+cells with exponents from e-09 to e+17), as a table named "fixed". Prints, per workload, a table of identical and
 differing counts per job kind and the first difference; exits 1 on any
 difference.
 """
@@ -55,6 +55,9 @@ FIXED = (
     ("displace", "--s", "0.1", "--x", "3", "--p", "50", "--n", "300"),
     # 512 levels: every level-adapted eigensolve at its largest order.
     ("spectrum", "--s", "511.5"),
+    # Integer s: the marginal top row, at the fewest and the most levels.
+    ("spectrum", "--s", "3"),
+    ("spectrum", "--s", "511"),
     # A radial Jacobi rule at b = 2s - 2 = -0.98.
     ("resolution", "--s", "0.51", "--n", "8", "--quad-points", "400",
      "--angular", "32"),
