@@ -406,10 +406,18 @@ _COMMANDS = {
 }
 
 
+# The parser main uses, built on its first call. Parsing leaves a parser
+# unchanged (defaults go into a new namespace each time), so every later
+# call in the process reuses it.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths
         return exc.code if isinstance(exc.code, int) else 1
     with warnings.catch_warnings():
@@ -424,8 +432,13 @@ def main(argv=None) -> int:
             print(f"morsecs: {exc}", file=sys.stderr)
             return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(body)
+        except OSError as exc:
+            print(f"morsecs: cannot write {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(body)
     return code

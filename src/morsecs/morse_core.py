@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MarginalStateWarning
-from .numerics import digamma, laguerre_sequence, log_gamma
+from .numerics import _laguerre_rows, digamma, laguerre_sequence, log_gamma
 
 __all__ = [
     "ShapeParams",
@@ -177,7 +177,9 @@ def pseudo_wavefunction(n: int, s: float, y):
     if n < 0:
         raise DomainError("n must be >= 0")
     y_arr = _check_y(y)
-    lag = laguerre_sequence(n, 2.0 * s - 1.0, y_arr)[n]
+    # The last row of the recurrence, without the table of the rows before.
+    for lag in _laguerre_rows(n, 2.0 * s - 1.0, y_arr):
+        pass
     out = _phi_from_laguerre(lag, n, s, _log_envelope(s, y_arr))
     return float(out) if np.ndim(y) == 0 else out
 

@@ -166,13 +166,27 @@ def laguerre_sequence(n_max: int, alpha: float, y) -> np.ndarray:
             f"{n_max + 1} Laguerre orders at {y.size} points exceed the "
             f"supported maximum of {_MAX_LAGUERRE_VALUES} values")
     out = np.empty((n_max + 1,) + y.shape, dtype=float)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1.0 + alpha - y
-    for n in range(2, n_max + 1):
-        out[n] = ((2.0 * n - 1.0 + alpha - y) * out[n - 1]
-                  - (n - 1.0 + alpha) * out[n - 2]) / n
+    for n, row in enumerate(_laguerre_rows(n_max, alpha, y)):
+        out[n] = row
     return out
+
+
+def _laguerre_rows(n_max: int, alpha: float, y: np.ndarray):
+    """Yield L_0^a(y), ..., L_{n_max}^a(y), one row at a time.
+
+    The recurrence of laguerre_sequence, which validates the arguments;
+    only the last two rows are held, so a caller that keeps one row needs
+    no table.
+    """
+    row = np.ones_like(y)
+    yield row
+    if n_max >= 1:
+        prev, row = row, 1.0 + alpha - y
+        yield row
+    for n in range(2, n_max + 1):
+        prev, row = row, ((2.0 * n - 1.0 + alpha - y) * row
+                          - (n - 1.0 + alpha) * prev) / n
+        yield row
 
 
 def laguerre_generating_sum(w: complex, alpha: float, y) -> complex | np.ndarray:

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so stdout/stderr and the return
 code can be asserted directly.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -118,6 +119,21 @@ class TestBasis:
         code, _, err = run(capsys, "basis", "--s", "1.0", "--grid", "1:2")
         assert code == 1
         assert "min:max:count" in err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/dir/x.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_is_one_line_error(self, capsys, tmp_path,
+                                              where, reason):
+        target = tmp_path / where
+        code, out, err = run(capsys, "ham", "--s", "1.75", "--n", "3",
+                             "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"morsecs: cannot write {target}: {reason}\n"
 
 
 class TestHam:
@@ -569,3 +585,110 @@ class TestParsing:
             doc = json.loads(out)
             assert "config" in doc and "data" in doc
             assert "NaN" not in out and "Infinity" not in out
+
+
+def run_captured(argv):
+    """main(argv) with stdout and stderr captured, for tests that run many
+    argvs in one process (hypothesis examples among them)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        codes = [run(capsys, *argv)[0] for argv in (
+            ("spectrum", "--s", "3.6"),
+            ("ham", "--s", "1.75", "--n", "4", "--format", "json"),
+            ("nosuch",),
+            ("coherent", "--s", "1.75", "--beta", "0.3", "--n", "4",
+             "--out", str(tmp_path / "c.csv")),
+            ("basis", "--s", "1.0", "--grid", "0:1:4"),
+        )]
+        assert codes == [0, 0, 1, 0, 0]
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        report = tmp_path / "c.json"
+        assert run_captured(("coherent", "--s", "1.75", "--beta", "0.3+0.4i",
+                             "--n", "5", "--format", "json",
+                             "--out", str(report)))[:2] == (0, "")
+        assert json.loads(report.read_text())["config"]["n"] == 5
+        assert run_captured(("coherent", "--s", "1.75", "--n", "x"))[0] == 1
+        reused = run_captured(("coherent", "--s", "1.75", "--beta", "0.3+0.4i"))
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh = run_captured(("coherent", "--s", "1.75", "--beta", "0.3+0.4i"))
+        assert reused == fresh
+        code, out, _ = reused
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["n", "real", "imag", "abs"]
+        assert len(rows) == 32
+
+
+_COMMANDS_WITH_S = ("basis", "ham", "spectrum", "coherent", "wavefunction",
+                    "resolution", "displace")
+# Option names no command has, and none is a prefix of (argparse accepts
+# unambiguous prefixes of long options).
+_unknown_option = st.from_regex(r"--zz[a-z]{0,6}", fullmatch=True)
+
+
+def _not_a_number(parse):
+    def fails(text):
+        try:
+            parse(text)
+        except ValueError:
+            return True
+        return False
+    return st.text(st.characters(min_codepoint=33, max_codepoint=126),
+                   min_size=1, max_size=8).filter(
+        lambda t: not t.startswith("-") and fails(t))
+
+
+_bad_argv = st.one_of(
+    st.tuples(st.sampled_from(_COMMANDS_WITH_S), _unknown_option).map(
+        lambda c: [c[0], "--s", "1.75", c[1]]),
+    st.tuples(st.sampled_from(_COMMANDS_WITH_S), st.booleans()).map(
+        lambda c: [c[0], "--format", "json"] if c[1] else [c[0]]),
+    st.tuples(st.sampled_from(_COMMANDS_WITH_S), _not_a_number(float)).map(
+        lambda c: [c[0], "--s", c[1]]),
+    st.tuples(st.sampled_from(("ham", "coherent", "resolution", "displace")),
+              _not_a_number(int)).map(
+        lambda c: [c[0], "--s", "1.75", "--n", c[1]]),
+    st.tuples(st.sampled_from(_COMMANDS_WITH_S + ("verify",)),
+              st.from_regex(r"[a-z]{1,6}", fullmatch=True).filter(
+                  lambda f: f not in ("csv", "json", "text"))).map(
+        lambda c: [c[0]] + (["--s", "1.75"] if c[0] != "verify" else [])
+        + ["--format", c[1]]),
+    st.tuples(st.sampled_from(("coherent", "displace")),
+              st.sampled_from(("--x", "--p"))).map(
+        lambda c: [c[0], "--s", "1.75", "--beta", "0.3", c[1], "1",
+                   "--n", "30"]),
+)
+
+
+class TestBadArguments:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_bad_argv)
+    def test_exit_1_with_one_line_the_same_every_time(self, argv):
+        first = run_captured(argv)
+        code, out, err = first
+        assert code == 1, argv
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+        assert run_captured(argv) == first

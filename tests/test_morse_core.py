@@ -15,6 +15,7 @@ from morsecs.morse_core import (
     norm_coefficient,
     pseudo_wavefunction,
     pseudo_wavefunction_recursive,
+    pseudo_wavefunctions,
     shape_invariance_residual,
     x_from_y,
     y_from_x,
@@ -102,6 +103,24 @@ class TestPseudoWavefunction:
 
     def test_underflow_returns_zero(self):
         assert pseudo_wavefunction(0, 1.0, 5000.0) == 0.0
+
+    def test_high_order_needs_no_table(self):
+        # 2001 orders at 600 points is beyond the Laguerre table cap; one
+        # row of the result is 600 values.
+        y = np.linspace(0.5, 40.0, 600)
+        got = pseudo_wavefunction(2000, 1.75, y)
+        assert got.shape == (600,)
+        assert np.all(np.isfinite(got))
+        want = pseudo_wavefunctions(2000, 1.75, y[:500])[2000]
+        assert got[:500].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+    def test_row_has_the_bits_of_the_table(self, n):
+        y = y_from_x(np.linspace(-2.0, 10.0, 300))
+        assert (pseudo_wavefunction(n, 1.75, y).tobytes()
+                == pseudo_wavefunctions(n, 1.75, y)[n].tobytes())
+        assert pseudo_wavefunction(n, 1.75, 0.8) == pseudo_wavefunctions(
+            n, 1.75, 0.8)[n]
 
     def test_domain(self):
         with pytest.raises(DomainError):

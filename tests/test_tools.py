@@ -52,11 +52,13 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # displace at orders not divisible by 3, at zero angles and with a
     # truncated intermediate state, spectrum at 512 levels and at integer
     # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
-    # report, and CSV cells with exponents from e-09 to e+17: all outside
-    # the benchmark streams.
+    # report, CSV cells with exponents from e-09 to e+17, and the error,
+    # help and version paths of the parser: all outside the benchmark
+    # streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"basis": (3, 0), "coherent": (1, 0), "displace": (4, 0),
-                     "ham": (3, 0), "resolution": (2, 0), "spectrum": (4, 0),
+    assert fixed == {"--version": (1, 0), "basis": (3, 0), "coherent": (3, 0),
+                     "displace": (4, 0), "ham": (3, 0), "nosuch": (1, 0),
+                     "resolution": (2, 0), "spectrum": (6, 0),
                      "verify": (3, 0), "wavefunction": (1, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
@@ -83,6 +85,11 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # and e+17 cells.
     assert {"basis --s 1.75 --n-max 6 --grid 4:12:40",
             "ham --s 1e17 --n 3"} <= set(argvs)
+    # A missing and a malformed option, an unknown command, --version,
+    # --help and conflicting labels.
+    assert {"spectrum", "coherent --s 1.75 --n x", "nosuch", "--version",
+            "spectrum --help",
+            "coherent --s 1.75 --beta 0.3 --x 1"} <= set(argvs)
 
 
 def test_replay_compares_the_out_file(tmp_path):

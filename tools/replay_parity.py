@@ -15,9 +15,10 @@ FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
 at a zero angle and with a truncated intermediate state, `spectrum` with
 512 levels and at integer s with 4 and 512 levels, a radial rule at
 b = -0.98, a report written with --out, whose file is compared too, CSV
-cells with exponents from e-09 to e+17), as a table named "fixed". Prints, per workload, a table of identical and
-differing counts per job kind and the first difference; exits 1 on any
-difference.
+cells with exponents from e-09 to e+17, argument errors, `--help` and
+`--version`), as a table named "fixed". Prints, per workload, a table of
+identical and differing counts per job kind and the first difference;
+exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ FIXED = (
     # among them, and e+17 cells.
     ("basis", "--s", "1.75", "--n-max", "6", "--grid", "4:12:40"),
     ("ham", "--s", "1e17", "--n", "3"),
+    # Argument errors, help and version, through the parser main reuses.
+    ("spectrum",),
+    ("coherent", "--s", "1.75", "--n", "x"),
+    ("nosuch",),
+    ("--version",),
+    ("spectrum", "--help"),
+    ("coherent", "--s", "1.75", "--beta", "0.3", "--x", "1"),
 )
 
 
