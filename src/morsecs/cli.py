@@ -12,6 +12,7 @@ failure (non-finite result, failed self-check, beyond a supported size).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -28,8 +29,10 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; this interface
-    # reserves 2 for numerical failures, so remap to 1.
+    # reserves 2 for numerical failures, so remap to 1. The message stays
+    # one line: line breaks copied from raw arguments are escaped as in repr.
     def error(self, message):
+        message = message.replace("\n", "\\n").replace("\r", "\\r")
         self.exit(1, f"{self.prog}: error: {message}\n")
 
     def __init__(self, *args, **kwargs):
@@ -53,7 +56,7 @@ def _parse_complex(text: str) -> complex:
 _MAX_GRID_POINTS = 1 << 18
 
 
-def _parse_grid(text: str):
+def _parse_grid(text: str) -> tuple[list, np.ndarray]:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError("--grid expects min:max:count")
@@ -67,7 +70,7 @@ def _parse_grid(text: str):
         raise CapabilityError(
             f"grid of {count} points exceeds the supported maximum "
             f"of {_MAX_GRID_POINTS}")
-    return lo, hi, count
+    return [lo, hi, count], morse_core.y_from_x(np.linspace(lo, hi, count))
 
 
 def _resolve_label(args, s: float) -> coherent.CoherentLabel:
@@ -82,15 +85,9 @@ def _resolve_label(args, s: float) -> coherent.CoherentLabel:
 
 
 def _cell(value) -> str:
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+    return str(value)
 
 
 def _is_float_array(col) -> bool:
@@ -117,6 +114,8 @@ def _float_cells(col) -> list:
         "+" + t if t[0] != "-"
         else "-0" + t[1:] if len(t) == 2 or t[2] == "," else t
         for t in tails]).split(",")
+    if "0.0000" not in text and "null" not in text:
+        return cells
     size = np.abs(col)
     kept = np.flatnonzero(((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(col))
     for i, value in zip(kept.tolist(), col[kept].tolist()):
@@ -133,7 +132,7 @@ def _csv_field(text: str) -> str:
 
 
 def _csv_table(header, columns) -> str:
-    """CSV of equal-length columns under a header, one line per row.
+    """CSV of columns under a header, one line per row, blank-padded.
 
     A float64 array column is formatted in one pass (its cells are reprs,
     which never need quotes); any other column cell by cell.
@@ -142,7 +141,8 @@ def _csv_table(header, columns) -> str:
              + (_float_cells(col) if _is_float_array(col)
                 else [_csv_field(_cell(v)) for v in col])
              for name, col in zip(header, columns)]
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    rows = itertools.zip_longest(*cells, fillvalue="")
+    return "\n".join(map(",".join, rows)) + "\n"
 
 
 def _json_document(config: dict, data) -> str:
@@ -150,37 +150,24 @@ def _json_document(config: dict, data) -> str:
                       indent=2, allow_nan=False) + "\n"
 
 
-def _json_value(value):
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (bool, str)):
-        return value
-    return float(value)
-
-
 def _json_rows(header, columns) -> list:
-    cols = [col.tolist() if _is_float_array(col) else list(map(_json_value, col))
+    cols = [col.tolist() if _is_float_array(col) else list(col)
             for col in columns]
     return [dict(zip(header, row)) for row in zip(*cols)]
 
 
 def _require_finite(header, columns) -> None:
     for name, col in zip(header, columns):
-        if _is_float_array(col):
-            finite = bool(np.isfinite(col).all())
-        else:
-            finite = all(math.isfinite(v) for v in col
-                         if isinstance(v, (float, np.floating)))
-        if not finite:
+        if _is_float_array(col) and not np.isfinite(col).all():
             raise CapabilityError(
                 f"column {name} holds a non-finite value: the evaluation "
                 "left float range")
 
 
 def _table_output(args, config, header, columns, data=None) -> str:
-    """The report of named columns in the requested format. A non-finite
-    cell fails the command in either format; `data`, when given, is the
-    JSON document's data in place of one object per row."""
+    """The report of named columns (floats in float64 arrays, other cells
+    int, bool or str) in the requested format. A non-finite cell fails the
+    command in either format; `data`, when given, replaces the JSON rows."""
     _require_finite(header, columns)
     if args.format == "json":
         return _json_document(
@@ -190,50 +177,44 @@ def _table_output(args, config, header, columns, data=None) -> str:
 
 def _cmd_basis(args):
     s = args.s
-    lo, hi, count = _parse_grid(args.grid)
-    n_max = int(args.n_max)
-    if n_max < 0:
+    grid, y = _parse_grid(args.grid)
+    if args.n_max < 0:
         raise DomainError("--n-max must be >= 0")
-    x = np.linspace(lo, hi, count)
-    y = morse_core.y_from_x(x)
     # The table's size is checked before the header is built.
-    columns = [y, *morse_core.pseudo_wavefunctions(n_max, s, y)]
-    header = ["y"] + [f"phi{n}" for n in range(n_max + 1)]
-    config = {"command": "basis", "s": s, "n_max": n_max,
-              "grid": [lo, hi, count]}
+    columns = [y, *morse_core.pseudo_wavefunctions(args.n_max, s, y)]
+    header = ["y"] + [f"phi{n}" for n in range(args.n_max + 1)]
+    config = {"command": "basis", "s": s, "n_max": args.n_max, "grid": grid}
     return _table_output(args, config, header, columns), 0
 
 
 def _cmd_ham(args):
     s = args.s
-    n = int(args.n)
-    h = operators.matrix_H(s, n)
-    off = h.offdiag.tolist()
-    config = {"command": "ham", "s": s, "n": n}
+    h = operators.matrix_H(s, args.n)
+    config = {"command": "ham", "s": s, "n": args.n}
     header = ["index", "diagonal", "super_diagonal"]
-    columns = [range(n), h.diag, off + [""]]
-    data = {"diagonal": h.diag.tolist(), "super_diagonal": off}
+    columns = [range(args.n), h.diag, h.offdiag]
+    data = {"diagonal": h.diag.tolist(), "super_diagonal": h.offdiag.tolist()}
     return _table_output(args, config, header, columns, data), 0
 
 
 def _cmd_spectrum(args):
     s = args.s
-    levels = operators.bound_spectrum(s).tolist()
+    levels = operators.bound_spectrum(s)
     count = len(levels)
     threshold = morse_core.ShapeParams(s).continuum_threshold
-    formulas = [morse_core.bound_energy(k, s) for k in range(count)]
+    formulas = np.array([morse_core.bound_energy(k, s) for k in range(count)])
     print("bound levels from level-adapted tridiagonal blocks at sigma = s - n",
           file=sys.stderr)
     header = ["index", "ritz_value", "formula_value", "abs_diff", "threshold"]
-    columns = [range(count), levels, formulas,
-               [abs(a - b) for a, b in zip(levels, formulas)], [threshold] * count]
+    columns = [range(count), levels, formulas, np.abs(levels - formulas),
+               np.full(count, threshold)]
     config = {"command": "spectrum", "s": s, "n_levels": count}
     return _table_output(args, config, header, columns), 0
 
 
 def _cmd_coherent(args):
     s = args.s
-    n = int(args.n)
+    n = args.n
     label = _resolve_label(args, s)
     state = coherent.coefficients(label, s, n)
     c = state.coeffs
@@ -248,11 +229,9 @@ def _cmd_coherent(args):
 
 def _cmd_wavefunction(args):
     s = args.s
-    n = int(args.n)
+    n = args.n
     label = _resolve_label(args, s)
-    lo, hi, count = _parse_grid(args.grid)
-    x = np.linspace(lo, hi, count)
-    y = morse_core.y_from_x(x)
+    grid, y = _parse_grid(args.grid)
     tail = coherent.coefficient_tail_bound(label, s, n)
     if tail > 1e-12:
         warnings.warn(
@@ -266,34 +245,33 @@ def _cmd_wavefunction(args):
     columns = [y, ser.real, ser.imag, clo.real, clo.imag]
     config = {"command": "wavefunction", "s": s, "n_terms": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag,
-              "grid": [lo, hi, count]}
+              "grid": grid}
     return _table_output(args, config, header, columns), 0
 
 
 def _cmd_resolution(args):
     s = args.s
-    m = int(args.n)
+    m = args.n
     out = coherent.resolution_of_unity(s, m, n_radial=args.quad_points,
                                        n_angular=args.angular)
-    dev = float(np.abs(out - math.pi * np.eye(m)).max())
+    dev = np.abs(out - math.pi * np.eye(m)).max()
     header = ["m_basis", "n_radial", "n_angular", "max_deviation_from_pi_identity"]
-    columns = [[m], [int(args.quad_points)], [int(args.angular)], [dev]]
+    columns = [[m], [args.quad_points], [args.angular], np.array([dev])]
     config = {"command": "resolution", "s": s, "m_basis": m,
-              "n_radial": int(args.quad_points), "n_angular": int(args.angular)}
+              "n_radial": args.quad_points, "n_angular": args.angular}
     return _table_output(args, config, header, columns), 0
 
 
 def _cmd_displace(args):
     s = args.s
-    n = int(args.n)
     label = _resolve_label(args, s)
     ps = coherent.to_phase_space(label, s)
-    unit, d_e0, ordering_dev = coherent.displacement_check(ps, s, n)
-    target = coherent.coefficients(label, s, n).coeffs
-    fidelity = float(abs(np.vdot(target, d_e0)))
+    unit, d_e0, ordering_dev = coherent.displacement_check(ps, s, args.n)
+    target = coherent.coefficients(label, s, args.n).coeffs
+    fidelity = np.array([abs(np.vdot(target, d_e0))])
     header = ["n", "unitarity_deviation", "fidelity", "ordering_deviation"]
-    columns = [[n], [unit], [fidelity], [ordering_dev]]
-    config = {"command": "displace", "s": s, "n": n,
+    columns = [[args.n], np.array([unit]), fidelity, np.array([ordering_dev])]
+    config = {"command": "displace", "s": s, "n": args.n,
               "x_tilde": ps.x_tilde, "p_tilde": ps.p_tilde}
     return _table_output(args, config, header, columns), 0
 
@@ -303,10 +281,12 @@ def _cmd_verify(args):
     code = 0 if all(r.passed for r in results) else 2
     if args.format == "text":
         return verify.format_text(results), code
-    config = {"command": "verify", "quick": bool(args.quick)}
+    config = {"command": "verify", "quick": args.quick}
     header = ["property", "residual", "tolerance", "pass"]
-    columns = [[r.name for r in results], [r.residual for r in results],
-               [r.tolerance for r in results], [r.passed for r in results]]
+    columns = [[r.name for r in results],
+               np.array([r.residual for r in results]),
+               np.array([r.tolerance for r in results]),
+               [r.passed for r in results]]
     return _table_output(args, config, header, columns), code
 
 

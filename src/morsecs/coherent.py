@@ -29,7 +29,7 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
 from .morse_core import (_check_s, _check_y, _log_basis_norm,
                          ground_x_expectation, y_from_x)
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
-                       log_gamma, symtridiag_eigen)
+                       symtridiag_eigen)
 from .operators import _band_entries
 
 __all__ = [
@@ -126,14 +126,13 @@ def gen_factorial(n: int, s: float) -> float:
     n = int(n)
     if n < 0:
         raise DomainError("n must be >= 0")
-    return math.exp(log_gamma(n + 1.0) + log_gamma(2.0 * s)
-                    - log_gamma(n + 2.0 * s))
+    return math.exp(2.0 * (_log_basis_norm(n, s) - _log_basis_norm(0, s)))
 
 
 def _log_binom_sqrt(s: float, n_terms: int) -> np.ndarray:
-    # 0.5 * ln C(n+2s-1, n) for n = 0 .. n_terms-1.
-    lg2s = log_gamma(2.0 * s)
-    return np.array([0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0) - lg2s)
+    # 0.5 * ln C(n+2s-1, n) for n = 0 .. n_terms-1, from phi_n's normalizer.
+    log_norm_0 = _log_basis_norm(0, s)
+    return np.array([log_norm_0 - _log_basis_norm(n, s)
                      for n in range(n_terms)])
 
 
@@ -187,8 +186,7 @@ def coefficient_tail_bound(label, s: float, n_terms: int) -> float:
     if q * r_sq >= 1.0:
         return math.inf
     log_first = (2.0 * s * math.log1p(-r_sq)
-                 + (log_gamma(n_terms + 2.0 * s) - log_gamma(n_terms + 1.0)
-                    - log_gamma(2.0 * s))
+                 + 2.0 * (_log_basis_norm(0, s) - _log_basis_norm(n_terms, s))
                  + n_terms * math.log(r_sq))
     return math.exp(log_first) / (1.0 - q * r_sq)
 
@@ -208,7 +206,7 @@ def _w_of(beta: complex) -> complex:
 
 
 def _log_prefactor(beta: complex, s: float) -> float:
-    return s * math.log1p(-abs(beta) ** 2) - 0.5 * log_gamma(2.0 * s)
+    return s * math.log1p(-abs(beta) ** 2) + _log_basis_norm(0, s)
 
 
 def wavefunction_series(label, s: float, y, n_terms: int):

@@ -221,7 +221,7 @@ def pseudo_wavefunction_recursive(n: int, s: float, y):
         raise DomainError("n must be >= 0")
     y_arr = _check_y(y)
     with np.errstate(under="ignore"):
-        u = np.exp(_log_envelope(s, y_arr) - 0.5 * log_gamma(2.0 * s))
+        u = np.exp(_log_envelope(s, y_arr) + _log_basis_norm(0, s))
     v = (s / y_arr - 0.5) * u
     for k in range(1, n + 1):
         c_k = norm_coefficient(k, s)

@@ -147,6 +147,14 @@ class TestHam:
         assert float(rows[1][2]) == pytest.approx(-math.sqrt(6.0), abs=1e-15)
         assert rows[2][2] == ""  # no coupling beyond the block
 
+    def test_last_super_diagonal_cell_is_blank(self, capsys):
+        code, out, _ = run(capsys, "ham", "--s", "3.6", "--n", "2")
+        assert code == 0
+        # One coupling, exactly zero at sigma = s, then the padded blank.
+        assert out == ("index,diagonal,super_diagonal\n"
+                       "0,3.85,0.0\n"
+                       "1,12.049999999999999,\n")
+
     def test_json_arrays(self, capsys):
         code, out, _ = run(capsys, "ham", "--s", "1.0", "--n", "4",
                            "--format", "json")
@@ -462,10 +470,10 @@ class TestTables:
                    for k, v in enumerate(values)]
         flags = [k % 3 == 0 for k in range(values.size)]
         names, blanks = ["a,b"] * values.size, [""] * values.size
-        np_cols = [list(np.arange(values.size)), list(values), flags, names,
-                   blanks]
-        py_cols = [list(range(values.size)), values.tolist(), flags, names,
-                   blanks]
+        # Floats reach the writer as float64 arrays; the other columns are
+        # cells of Python or NumPy integers, bools and strings.
+        np_cols = [list(np.arange(values.size)), values, flags, names, blanks]
+        py_cols = [list(range(values.size)), values, flags, names, blanks]
         expected = numpy_scalar_table(header, np_rows)
         assert _csv_table(header, py_cols) == expected
         assert _csv_table(header, np_cols) == expected
@@ -513,6 +521,11 @@ class TestTables:
         lines = _csv_table(["v"], [col]).split("\n")
         assert lines[0] == "v" and lines[-1] == ""
         assert lines[1:-1] == list(map(float.__repr__, col.tolist()))
+        # One-cell columns, so that a column holding no cell orjson spells
+        # 0.0000... or null takes the path without the repr mask.
+        signed = np.concatenate([edges, -edges]).tolist()
+        assert [_csv_table(["v"], [np.array([v])]) for v in signed] == [
+            f"v\n{v!r}\n" for v in signed]
         assert _csv_table(["v", "w"], [np.array([]), np.array([])]) == "v,w\n"
 
     def test_basis_table_bytes(self, capsys):
@@ -533,6 +546,40 @@ class TestTables:
         # The abs column is the scalar abs of each coefficient, to the bit.
         _, table = parse_csv(out)
         assert all(float(r[3]) == float(abs(ck)) for r, ck in zip(table, c))
+
+
+class TestFloatColumns:
+    def test_every_float_reaches_the_writer_in_a_float64_array(
+            self, capsys, monkeypatch):
+        # The writer spells floats, and tests them for finiteness, only as
+        # float64 arrays; a float cell in any other column would bypass both.
+        seen = {}
+        table_output = cli._table_output
+
+        def recording(args, config, header, columns, data=None):
+            seen[args.command] = columns
+            return table_output(args, config, header, columns, data)
+
+        monkeypatch.setattr(cli, "_table_output", recording)
+        for argv in (
+                ("basis", "--s", "1.75", "--n-max", "3", "--grid", "0:4:5"),
+                ("ham", "--s", "3.6", "--n", "2"),
+                ("spectrum", "--s", "3.6"),
+                ("coherent", "--s", "1.75", "--beta", "0.3+0.4i", "--n", "8"),
+                ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "60",
+                 "--grid", "0:4:5"),
+                ("resolution", "--s", "1.75", "--n", "4"),
+                ("displace", "--s", "1.75", "--x", "0.5", "--p", "1",
+                 "--n", "30"),
+                ("verify", "--quick", "--format", "csv")):
+            assert run(capsys, *argv)[0] == 0, argv
+        assert sorted(seen) == sorted(cli._COMMANDS)
+        for command, columns in seen.items():
+            for col in columns:
+                if isinstance(col, np.ndarray) and col.dtype == np.float64:
+                    continue
+                assert not any(isinstance(v, (float, np.floating))
+                               for v in col), (command, col)
 
 
 class TestNonFiniteCells:
@@ -643,8 +690,8 @@ class TestParserReuse:
 _COMMANDS_WITH_S = ("basis", "ham", "spectrum", "coherent", "wavefunction",
                     "resolution", "displace")
 # Option names no command has, and none is a prefix of (argparse accepts
-# unambiguous prefixes of long options).
-_unknown_option = st.from_regex(r"--zz[a-z]{0,6}", fullmatch=True)
+# unambiguous prefixes of long options); some hold line breaks.
+_unknown_option = st.from_regex(r"--zz[a-z\n\r]{0,6}", fullmatch=True)
 
 
 def _not_a_number(parse):
@@ -690,5 +737,10 @@ class TestBadArguments:
         assert code == 1, argv
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "\r" not in err
         assert "Traceback" not in err
         assert run_captured(argv) == first
+
+    def test_line_breaks_in_an_argument_are_escaped(self):
+        assert run_captured(("spectrum", "--s", "1.75", "--zz\nq\r")) == (
+            1, "", "morsecs: error: unrecognized arguments: --zz\\nq\\r\n")

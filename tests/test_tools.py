@@ -52,21 +52,21 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # displace at orders not divisible by 3, at zero angles and with a
     # truncated intermediate state, spectrum at 512 levels and at integer
     # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
-    # report, CSV cells with exponents from e-09 to e+17, and the error,
-    # help and version paths of the parser: all outside the benchmark
-    # streams.
+    # report, CSV cells with exponents from e-09 to e+17, a padded `ham`
+    # column, two reports with non-finite cells, and the error, help and
+    # version paths of the parser: all outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"--version": (1, 0), "basis": (3, 0), "coherent": (3, 0),
-                     "displace": (4, 0), "ham": (3, 0), "nosuch": (1, 0),
+    assert fixed == {"--version": (1, 0), "basis": (4, 0), "coherent": (3, 0),
+                     "displace": (4, 0), "ham": (4, 0), "nosuch": (1, 0),
                      "resolution": (2, 0), "spectrum": (6, 0),
-                     "verify": (3, 0), "wavefunction": (1, 0)}
+                     "verify": (3, 0), "wavefunction": (2, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
                       "resolution", "displace", "verify"}
     assert {a.split()[0] for a in argvs if "--format json" in a} == table_commands
     assert {a for a in argvs if a.startswith("ham")} == {
         "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json",
-        "ham --s 1e17 --n 3"}
+        "ham --s 1e17 --n 3", "ham --s 3.6 --n 2"}
     assert sorted(a for a in argvs if a.startswith("verify")) == [
         "verify --quick", "verify --quick --format csv",
         "verify --quick --format json"]
@@ -85,6 +85,10 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # and e+17 cells.
     assert {"basis --s 1.75 --n-max 6 --grid 4:12:40",
             "ham --s 1e17 --n 3"} <= set(argvs)
+    # The exit-2 path of a non-finite cell, in basis and in wavefunction.
+    assert {"basis --s 1.75 --n-max 250 --grid -7.5:-7.4:2",
+            "wavefunction --s 1.75 --beta 0.3 --n 400 --grid -7.5:-6:4"
+            } <= set(argvs)
     # A missing and a malformed option, an unknown command, --version,
     # --help and conflicting labels.
     assert {"spectrum", "coherent --s 1.75 --n x", "nosuch", "--version",

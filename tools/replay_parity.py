@@ -15,8 +15,9 @@ FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
 at a zero angle and with a truncated intermediate state, `spectrum` with
 512 levels and at integer s with 4 and 512 levels, a radial rule at
 b = -0.98, a report written with --out, whose file is compared too, CSV
-cells with exponents from e-09 to e+17, argument errors, `--help` and
-`--version`), as a table named "fixed". Prints, per workload, a table of
+cells with exponents from e-09 to e+17, `ham` with one super-diagonal
+cell, `basis` and `wavefunction` reports with non-finite cells (exit 2),
+argument errors, `--help` and `--version`), as a table named "fixed". Prints, per workload, a table of
 identical and differing counts per job kind and the first difference;
 exits 1 on any difference.
 """
@@ -71,6 +72,12 @@ FIXED = (
     # among them, and e+17 cells.
     ("basis", "--s", "1.75", "--n-max", "6", "--grid", "4:12:40"),
     ("ham", "--s", "1e17", "--n", "3"),
+    # One super-diagonal cell, then the padded blank.
+    ("ham", "--s", "3.6", "--n", "2"),
+    # Non-finite cells: exit 2 with the column's one-line message.
+    ("basis", "--s", "1.75", "--n-max", "250", "--grid", "-7.5:-7.4:2"),
+    ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "400",
+     "--grid", "-7.5:-6:4"),
     # Argument errors, help and version, through the parser main reuses.
     ("spectrum",),
     ("coherent", "--s", "1.75", "--n", "x"),
