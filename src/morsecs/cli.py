@@ -27,13 +27,18 @@ from .errors import (CapabilityError, ConsistencyError, DomainError,
                      TruncationWarning)
 
 
+# repr's spelling of every character str.splitlines breaks a line at, so
+# that a message echoing user text stays one line.
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in
+                           "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad arguments; this interface
     # reserves 2 for numerical failures, so remap to 1. The message stays
     # one line: line breaks copied from raw arguments are escaped as in repr.
     def error(self, message):
-        message = message.replace("\n", "\\n").replace("\r", "\\r")
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {message.translate(_ONE_LINE)}\n")
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -167,11 +172,13 @@ def _require_finite(header, columns) -> None:
 def _table_output(args, config, header, columns, data=None) -> str:
     """The report of named columns (floats in float64 arrays, other cells
     int, bool or str) in the requested format. A non-finite cell fails the
-    command in either format; `data`, when given, replaces the JSON rows."""
+    command in either format. The JSON config opens with the command's
+    name; `data`, when given, replaces the JSON rows."""
     _require_finite(header, columns)
     if args.format == "json":
         return _json_document(
-            config, _json_rows(header, columns) if data is None else data)
+            {"command": args.command, **config},
+            _json_rows(header, columns) if data is None else data)
     return _csv_table(header, columns)
 
 
@@ -183,14 +190,14 @@ def _cmd_basis(args):
     # The table's size is checked before the header is built.
     columns = [y, *morse_core.pseudo_wavefunctions(args.n_max, s, y)]
     header = ["y"] + [f"phi{n}" for n in range(args.n_max + 1)]
-    config = {"command": "basis", "s": s, "n_max": args.n_max, "grid": grid}
+    config = {"s": s, "n_max": args.n_max, "grid": grid}
     return _table_output(args, config, header, columns), 0
 
 
 def _cmd_ham(args):
     s = args.s
     h = operators.matrix_H(s, args.n)
-    config = {"command": "ham", "s": s, "n": args.n}
+    config = {"s": s, "n": args.n}
     header = ["index", "diagonal", "super_diagonal"]
     columns = [range(args.n), h.diag, h.offdiag]
     data = {"diagonal": h.diag.tolist(), "super_diagonal": h.offdiag.tolist()}
@@ -208,7 +215,7 @@ def _cmd_spectrum(args):
     header = ["index", "ritz_value", "formula_value", "abs_diff", "threshold"]
     columns = [range(count), levels, formulas, np.abs(levels - formulas),
                np.full(count, threshold)]
-    config = {"command": "spectrum", "s": s, "n_levels": count}
+    config = {"s": s, "n_levels": count}
     return _table_output(args, config, header, columns), 0
 
 
@@ -219,10 +226,10 @@ def _cmd_coherent(args):
     state = coherent.coefficients(label, s, n)
     c = state.coeffs
     header = ["n", "real", "imag", "abs"]
-    # Python's abs of each complex, not np.abs of the array: the latter
-    # differs in the last bit for some coefficients.
-    columns = [range(n), c.real, c.imag, np.array([abs(v) for v in c.tolist()])]
-    config = {"command": "coherent", "s": s, "n": n,
+    # np.hypot of the parts, as Python's abs of each complex, not np.abs
+    # of the array: the latter differs in the last bit for some coefficients.
+    columns = [range(n), c.real, c.imag, np.hypot(c.real, c.imag)]
+    config = {"s": s, "n": n,
               "beta_re": label.beta.real, "beta_im": label.beta.imag}
     return _table_output(args, config, header, columns), 0
 
@@ -243,9 +250,8 @@ def _cmd_wavefunction(args):
     print(f"max |series - closed| = {dev!r}", file=sys.stderr)
     header = ["y", "series_re", "series_im", "closed_re", "closed_im"]
     columns = [y, ser.real, ser.imag, clo.real, clo.imag]
-    config = {"command": "wavefunction", "s": s, "n_terms": n,
-              "beta_re": label.beta.real, "beta_im": label.beta.imag,
-              "grid": grid}
+    config = {"s": s, "n_terms": n, "beta_re": label.beta.real,
+              "beta_im": label.beta.imag, "grid": grid}
     return _table_output(args, config, header, columns), 0
 
 
@@ -257,8 +263,8 @@ def _cmd_resolution(args):
     dev = np.abs(out - math.pi * np.eye(m)).max()
     header = ["m_basis", "n_radial", "n_angular", "max_deviation_from_pi_identity"]
     columns = [[m], [args.quad_points], [args.angular], np.array([dev])]
-    config = {"command": "resolution", "s": s, "m_basis": m,
-              "n_radial": args.quad_points, "n_angular": args.angular}
+    config = {"s": s, "m_basis": m, "n_radial": args.quad_points,
+              "n_angular": args.angular}
     return _table_output(args, config, header, columns), 0
 
 
@@ -271,8 +277,8 @@ def _cmd_displace(args):
     fidelity = np.array([abs(np.vdot(target, d_e0))])
     header = ["n", "unitarity_deviation", "fidelity", "ordering_deviation"]
     columns = [[args.n], np.array([unit]), fidelity, np.array([ordering_dev])]
-    config = {"command": "displace", "s": s, "n": args.n,
-              "x_tilde": ps.x_tilde, "p_tilde": ps.p_tilde}
+    config = {"s": s, "n": args.n, "x_tilde": ps.x_tilde,
+              "p_tilde": ps.p_tilde}
     return _table_output(args, config, header, columns), 0
 
 
@@ -281,20 +287,13 @@ def _cmd_verify(args):
     code = 0 if all(r.passed for r in results) else 2
     if args.format == "text":
         return verify.format_text(results), code
-    config = {"command": "verify", "quick": args.quick}
+    config = {"quick": args.quick}
     header = ["property", "residual", "tolerance", "pass"]
     columns = [[r.name for r in results],
                np.array([r.residual for r in results]),
                np.array([r.tolerance for r in results]),
                [r.passed for r in results]]
     return _table_output(args, config, header, columns), code
-
-
-def _add_format(p, choices=("csv", "json"), default="csv"):
-    p.add_argument("--format", choices=list(choices), default=default,
-                   help=f"output format (default {default})")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the report to FILE instead of stdout")
 
 
 def _add_label(p):
@@ -310,80 +309,71 @@ def build_parser() -> argparse.ArgumentParser:
                                  "displacement operators for the Morse well.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    models = []
 
-    p = sub.add_parser("basis", help="tabulate basis functions on a grid")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    def model(name, handler, summary):
+        # A command on a well of shape s, reported as csv or json.
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--s", type=float, required=True, help="shape parameter")
+        models.append(p)
+        return p
+
+    p = model("basis", _cmd_basis, "tabulate basis functions on a grid")
     p.add_argument("--n-max", type=int, default=4,
                    help="highest basis index to tabulate (default 4)")
     p.add_argument("--grid", required=True, metavar="MIN:MAX:COUNT",
                    help="uniform grid in the physical coordinate x; the "
                         "first output column is y = 2 exp(-x)")
-    _add_format(p)
 
-    p = sub.add_parser("ham", help="dump the tridiagonal Hamiltonian block")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    p = model("ham", _cmd_ham, "dump the tridiagonal Hamiltonian block")
     p.add_argument("--n", type=int, default=10, help="block order (default 10)")
-    _add_format(p)
 
-    p = sub.add_parser("spectrum",
-                       help="bound energies from level-adapted blocks")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
-    _add_format(p)
+    model("spectrum", _cmd_spectrum, "bound energies from level-adapted blocks")
 
-    p = sub.add_parser("coherent", help="coefficient table of one state")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    p = model("coherent", _cmd_coherent, "coefficient table of one state")
     p.add_argument("--n", type=int, default=32,
                    help="number of coefficients (default 32)")
     _add_label(p)
-    _add_format(p)
 
-    p = sub.add_parser("wavefunction",
-                       help="series and closed wavefunction side by side")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    p = model("wavefunction", _cmd_wavefunction,
+              "series and closed wavefunction side by side")
     p.add_argument("--n", type=int, default=400,
                    help="series terms (default 400)")
     p.add_argument("--grid", required=True, metavar="MIN:MAX:COUNT",
                    help="uniform grid in the physical coordinate x")
     _add_label(p)
-    _add_format(p)
 
-    p = sub.add_parser("resolution",
-                       help="disk resolution of unity deviation report")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    p = model("resolution", _cmd_resolution,
+              "disk resolution of unity deviation report")
     p.add_argument("--n", type=int, default=12,
                    help="basis block size (default 12)")
     p.add_argument("--quad-points", type=int, default=200,
                    help="radial quadrature points (default 200)")
     p.add_argument("--angular", type=int, default=64,
                    help="angular quadrature points (default 64)")
-    _add_format(p)
 
-    p = sub.add_parser("displace",
-                       help="unitarity and fidelity of the displacement")
-    p.add_argument("--s", type=float, required=True, help="shape parameter")
+    p = model("displace", _cmd_displace,
+              "unitarity and fidelity of the displacement")
     p.add_argument("--n", type=int, default=300,
                    help="truncation order (default 300)")
     _add_label(p)
-    _add_format(p)
 
-    p = sub.add_parser("verify", help="run the deterministic self-checks")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller sizes, same properties")
-    _add_format(p, choices=("text", "csv", "json"), default="text")
+    verify_p = sub.add_parser("verify", help="run the deterministic self-checks")
+    verify_p.set_defaults(handler=_cmd_verify)
+    verify_p.add_argument("--quick", action="store_true",
+                          help="smaller sizes, same properties")
+    verify_p.add_argument("--format", choices=["text", "csv", "json"],
+                          default="text", help="output format (default text)")
 
+    # The report options come last in every command's help screen.
+    for p in models:
+        p.add_argument("--format", choices=["csv", "json"], default="csv",
+                       help="output format (default csv)")
+    for p in [*models, verify_p]:
+        p.add_argument("--out", metavar="FILE",
+                       help="write the report to FILE instead of stdout")
     return parser
-
-
-_COMMANDS = {
-    "basis": _cmd_basis,
-    "ham": _cmd_ham,
-    "spectrum": _cmd_spectrum,
-    "coherent": _cmd_coherent,
-    "wavefunction": _cmd_wavefunction,
-    "resolution": _cmd_resolution,
-    "displace": _cmd_displace,
-    "verify": _cmd_verify,
-}
 
 
 # The parser main uses, built on its first call. Parsing leaves a parser
@@ -404,7 +394,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"morsecs: warning: {message}", file=sys.stderr)
         try:
-            body, code = _COMMANDS[args.command](args)
+            body, code = args.handler(args)
         except DomainError as exc:
             print(f"morsecs: {exc}", file=sys.stderr)
             return 1
@@ -416,8 +406,8 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(body)
         except OSError as exc:
-            print(f"morsecs: cannot write {args.out}: {exc.strerror}",
-                  file=sys.stderr)
+            print(f"morsecs: cannot write {args.out.translate(_ONE_LINE)}: "
+                  f"{exc.strerror}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(body)

@@ -104,7 +104,8 @@ class CoherentState:
         return self.coeffs.size
 
     def norm_sq(self) -> float:
-        # Fixed ascending summation order, for reproducible output.
+        # NumPy's pairwise summation: not ascending, but a fixed order for
+        # a given length, so the output is reproducible.
         return float(np.add.reduce(np.abs(self.coeffs) ** 2))
 
 
@@ -213,7 +214,8 @@ def wavefunction_series(label, s: float, y, n_terms: int):
     """Coordinate wavefunction of |beta> as a truncated Laguerre series.
 
     (1-|b|^2)^s Gamma(2s)^{-1/2} y^s e^{-y/2} sum_{n < n_terms} b^n L_n^{2s-1}(y),
-    summed in ascending n with a fixed order.
+    the sum one tensordot in NumPy/BLAS order: not ascending in n, but
+    fixed for a given shape, so the output is reproducible.
     """
     label = _as_label(label)
     s = _check_s(s)
@@ -424,17 +426,32 @@ def phase_space_tail_estimate(s: float, m_basis: int,
     a 20-point Gauss-Jacobi rule in sqrt(t), t = 1/(1 + e^x). This is an
     upper estimate of the envelope mass, not a certified bound on the
     oscillatory error.
+
+    The arguments phase_space_measure_check refuses are refused here too,
+    with a DomainError: s <= 1/2, m_basis < 1, and a box extent that is
+    not positive, is not finite, or has box[0] >= 709.
     """
+    s, m_basis, box_x, box_q = _check_ps_args(s, m_basis, box)
+    pieces = _q_strip_mass(s, box_q) + _x_strip_mass(s, box_x)
+    # 0.5 ln C(n+2s-1, n) at n = m_basis - 1, the largest b_n.
+    log_b_max = _log_basis_norm(0, s) - _log_basis_norm(m_basis - 1, s)
+    return (2.0 * s - 1.0) / (4.0 * s) * math.exp(2.0 * log_b_max) * pieces
+
+
+def _check_ps_args(s, m_basis, box) -> tuple[float, int, float, float]:
     s = _check_s(s)
     if s <= 0.5:
         raise DomainError("the phase-space measure needs s > 1/2")
     m_basis = int(m_basis)
+    if m_basis < 1:
+        raise DomainError("m_basis must be >= 1")
     box_x, box_q = float(box[0]), float(box[1])
     if box_x <= 0.0 or box_q <= 0.0:
         raise DomainError("box extents must be positive")
-    pieces = _q_strip_mass(s, box_q) + _x_strip_mass(s, box_x)
-    b_max_sq = math.exp(2.0 * _log_binom_sqrt(s, m_basis)[-1])
-    return (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * pieces
+    # The sum takes e^{+-x} at the box edge, which overflows past x ~ 709.8.
+    if not (box_x < 709.0 and math.isfinite(box_q)):
+        raise DomainError("box extents must be finite, with box[0] < 709")
+    return s, m_basis, box_x, box_q
 
 
 def _log_envelope_scale(s: float) -> float:
@@ -529,18 +546,7 @@ def phase_space_measure_check(s: float, m_basis: int,
     agreement much below that level on this box. Node counts default to
     about eight points per period of the fastest oscillation.
     """
-    s = _check_s(s)
-    if s <= 0.5:
-        raise DomainError("the phase-space measure needs s > 1/2")
-    m_basis = int(m_basis)
-    if m_basis < 1:
-        raise DomainError("m_basis must be >= 1")
-    box_x, box_q = float(box[0]), float(box[1])
-    if box_x <= 0.0 or box_q <= 0.0:
-        raise DomainError("box extents must be positive")
-    # The sum takes e^{+-x} at the box edge, which overflows past x ~ 709.8.
-    if not (box_x < 709.0 and math.isfinite(box_q)):
-        raise DomainError("box extents must be finite, with box[0] < 709")
+    s, m_basis, box_x, box_q = _check_ps_args(s, m_basis, box)
     n_x, n_p = _ps_node_counts(s, m_basis, box_x, box_q, n_x, n_p)
 
     tail = phase_space_tail_estimate(s, m_basis, box)

@@ -651,6 +651,27 @@ class TestPhaseSpaceMeasure:
         with pytest.raises(DomainError):
             phase_space_measure_check(1.75, 2, box=box, n_x=10, n_p=10)
 
+    @pytest.mark.parametrize("m_basis,box", [
+        (0, (8.0, 80.0)), (-3, (8.0, 80.0)), (2, (800.0, 80.0)),
+        (2, (math.nan, 80.0)), (2, (8.0, math.nan)), (2, (8.0, math.inf)),
+        (2, (math.inf, 80.0)), (2, (0.0, 80.0)), (2, (8.0, -1.0))])
+    def test_tail_estimate_rejects_what_the_check_rejects(self, m_basis, box):
+        # The estimate and the check refuse the same arguments, each with
+        # a DomainError, and the estimate never answers nan.
+        for call in (phase_space_tail_estimate, phase_space_measure_check):
+            with pytest.raises(DomainError):
+                call(1.75, m_basis, box)
+
+    @pytest.mark.parametrize("s,m_basis,box", [
+        (0.51, 1, (4.0, 20.0)), (1.75, 8, (8.0, 80.0)),
+        (5.0, 40, (12.0, 400.0)), (200.0, 3, (700.0, 1e6))])
+    def test_tail_estimate_reads_the_last_binomial(self, s, m_basis, box):
+        # Envelope factor at n = m_basis - 1, to the bit.
+        b_max_sq = math.exp(2.0 * _log_binom_sqrt(s, m_basis)[-1])
+        pieces = _q_strip_mass(s, box[1]) + _x_strip_mass(s, box[0])
+        want = (2.0 * s - 1.0) / (4.0 * s) * b_max_sq * pieces
+        assert phase_space_tail_estimate(s, m_basis, box) == want
+
 
 def dense_displacement(ps, s, n, ordering):
     """The documented product formula, with dense scipy.linalg.expm."""

@@ -53,22 +53,23 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # truncated intermediate state, spectrum at 512 levels and at integer
     # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
     # report, CSV cells with exponents from e-09 to e+17, a padded `ham`
-    # column, two reports with non-finite cells, and the error, help and
-    # version paths of the parser: all outside the benchmark streams.
+    # column, two reports with non-finite cells, and the error, version
+    # and help paths of the parser: all outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"--version": (1, 0), "basis": (4, 0), "coherent": (3, 0),
-                     "displace": (4, 0), "ham": (4, 0), "nosuch": (1, 0),
-                     "resolution": (2, 0), "spectrum": (6, 0),
-                     "verify": (3, 0), "wavefunction": (2, 0)}
+    assert fixed == {"--help": (1, 0), "--version": (1, 0), "basis": (5, 0),
+                     "coherent": (4, 0), "displace": (5, 0), "ham": (5, 0),
+                     "nosuch": (1, 0), "resolution": (3, 0),
+                     "spectrum": (6, 0), "verify": (4, 0),
+                     "wavefunction": (3, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
                       "resolution", "displace", "verify"}
     assert {a.split()[0] for a in argvs if "--format json" in a} == table_commands
     assert {a for a in argvs if a.startswith("ham")} == {
         "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json",
-        "ham --s 1e17 --n 3", "ham --s 3.6 --n 2"}
+        "ham --s 1e17 --n 3", "ham --s 3.6 --n 2", "ham --help"}
     assert sorted(a for a in argvs if a.startswith("verify")) == [
-        "verify --quick", "verify --quick --format csv",
+        "verify --help", "verify --quick", "verify --quick --format csv",
         "verify --quick --format json"]
     assert sum("--out {out}" in a for a in argvs) == 1
     # displace at an order not divisible by 3, and at each zero angle.
@@ -89,11 +90,13 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     assert {"basis --s 1.75 --n-max 250 --grid -7.5:-7.4:2",
             "wavefunction --s 1.75 --beta 0.3 --n 400 --grid -7.5:-6:4"
             } <= set(argvs)
-    # A missing and a malformed option, an unknown command, --version,
-    # --help and conflicting labels.
+    # A missing and a malformed option, an unknown command, --version
+    # and conflicting labels.
     assert {"spectrum", "coherent --s 1.75 --n x", "nosuch", "--version",
-            "spectrum --help",
             "coherent --s 1.75 --beta 0.3 --x 1"} <= set(argvs)
+    # The help screen of the program and of every command.
+    assert {a for a in argvs if a.endswith("--help")} == {"--help"} | {
+        f"{command} --help" for command in table_commands}
 
 
 def test_replay_compares_the_out_file(tmp_path):

@@ -17,7 +17,8 @@ at a zero angle and with a truncated intermediate state, `spectrum` with
 b = -0.98, a report written with --out, whose file is compared too, CSV
 cells with exponents from e-09 to e+17, `ham` with one super-diagonal
 cell, `basis` and `wavefunction` reports with non-finite cells (exit 2),
-argument errors, `--help` and `--version`), as a table named "fixed". Prints, per workload, a table of
+argument errors, `--version`, and `--help` of the program and of every
+command), as a table named "fixed". Prints, per workload, a table of
 identical and differing counts per job kind and the first difference;
 exits 1 on any difference.
 """
@@ -78,12 +79,21 @@ FIXED = (
     ("basis", "--s", "1.75", "--n-max", "250", "--grid", "-7.5:-7.4:2"),
     ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "400",
      "--grid", "-7.5:-6:4"),
-    # Argument errors, help and version, through the parser main reuses.
+    # Argument errors, version and every help screen, through the parser
+    # main reuses.
     ("spectrum",),
     ("coherent", "--s", "1.75", "--n", "x"),
     ("nosuch",),
     ("--version",),
+    ("--help",),
+    ("basis", "--help"),
+    ("ham", "--help"),
     ("spectrum", "--help"),
+    ("coherent", "--help"),
+    ("wavefunction", "--help"),
+    ("resolution", "--help"),
+    ("displace", "--help"),
+    ("verify", "--help"),
     ("coherent", "--s", "1.75", "--beta", "0.3", "--x", "1"),
 )
 
