@@ -6,7 +6,8 @@ each, go to stderr. All floats are rendered with repr, so a rerun with the
 same arguments produces byte-identical output.
 
 Exit codes: 0 success, 1 argument or domain validation error, 2 numerical
-failure (non-finite result, failed self-check, beyond a supported size).
+failure (non-finite result, failed self-check, beyond a supported size or
+out of memory).
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ def _resolve_label(args, s: float) -> coherent.CoherentLabel:
     return coherent.from_phase_space(ps, s)
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _is_float_array(col) -> bool:
     return isinstance(col, np.ndarray) and col.dtype == np.float64
 
@@ -136,37 +131,35 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _cells(col, quote) -> list:
+    """A column's cells in either format: float64 arrays in one pass (reprs
+    need no quotes), ints by str, bools as true or false, texts by `quote`."""
+    if _is_float_array(col):
+        return _float_cells(col)
+    return [quote(v) if isinstance(v, str)
+            else ("true" if v else "false") if isinstance(v, bool)
+            else str(v) for v in col]
+
+
 def _csv_table(header, columns) -> str:
-    """CSV of columns under a header, one line per row, blank-padded.
-
-    A float64 array column is formatted in one pass (its cells are reprs,
-    which never need quotes); any other column cell by cell.
-    """
-    cells = [[_csv_field(name)]
-             + (_float_cells(col) if _is_float_array(col)
-                else [_csv_field(_cell(v)) for v in col])
-             for name, col in zip(header, columns)]
-    rows = itertools.zip_longest(*cells, fillvalue="")
-    return "\n".join(map(",".join, rows)) + "\n"
+    """CSV of columns under a header, one line per row, blank-padded."""
+    head = ",".join(map(_csv_field, header))
+    rows = itertools.zip_longest(*[_cells(col, _csv_field) for col in columns],
+                                 fillvalue="")
+    return "\n".join(itertools.chain([head], map(",".join, rows))) + "\n"
 
 
-def _json_document(config: dict, data) -> str:
-    return json.dumps({"config": config, "data": data},
-                      indent=2, allow_nan=False) + "\n"
-
-
-def _json_rows(header, columns) -> list:
-    cols = [col.tolist() if _is_float_array(col) else list(col)
-            for col in columns]
-    return [dict(zip(header, row)) for row in zip(*cols)]
-
-
-def _require_finite(header, columns) -> None:
-    for name, col in zip(header, columns):
-        if _is_float_array(col) and not np.isfinite(col).all():
-            raise CapabilityError(
-                f"column {name} holds a non-finite value: the evaluation "
-                "left float range")
+def _json_table(config, header, columns) -> str:
+    """json.dumps({"config": config, "data": [dict(zip(header, row)), ...]},
+    indent=2) + "\n" from the CSV's cells: json spells a float by its repr."""
+    head, tail = json.dumps({"config": config, "data": None}, indent=2,
+                            allow_nan=False).rsplit("null", 1)
+    keys = (json.dumps(name).replace("%", "%%") for name in header)
+    row = "\n    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    # A list, so that the cells are let go before the rows are joined.
+    rows = ",".join(list(map(row.__mod__, zip(*[_cells(col, json.dumps)
+                                                for col in columns]))))
+    return f"{head}[{rows}\n  ]{tail}\n" if rows else f"{head}[]{tail}\n"
 
 
 def _table_output(args, config, header, columns, data=None) -> str:
@@ -174,12 +167,18 @@ def _table_output(args, config, header, columns, data=None) -> str:
     int, bool or str) in the requested format. A non-finite cell fails the
     command in either format. The JSON config opens with the command's
     name; `data`, when given, replaces the JSON rows."""
-    _require_finite(header, columns)
-    if args.format == "json":
-        return _json_document(
-            {"command": args.command, **config},
-            _json_rows(header, columns) if data is None else data)
-    return _csv_table(header, columns)
+    for name, col in zip(header, columns):
+        if _is_float_array(col) and not np.isfinite(col).all():
+            raise CapabilityError(
+                f"column {name} holds a non-finite value: the evaluation "
+                "left float range")
+    if args.format == "csv":
+        return _csv_table(header, columns)
+    config = {"command": args.command, **config}
+    if data is None:
+        return _json_table(config, header, columns)
+    return json.dumps({"config": config, "data": data}, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _cmd_basis(args):
@@ -398,8 +397,8 @@ def main(argv=None) -> int:
         except DomainError as exc:
             print(f"morsecs: {exc}", file=sys.stderr)
             return 1
-        except (ConsistencyError, CapabilityError) as exc:
-            print(f"morsecs: {exc}", file=sys.stderr)
+        except (ConsistencyError, CapabilityError, MemoryError) as exc:
+            print(f"morsecs: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 2
     if args.out:
         try:

@@ -27,7 +27,7 @@ import scipy.special
 from .errors import (CapabilityError, ConsistencyError, DomainError,
                      TruncationWarning)
 from .morse_core import (_check_s, _check_y, _log_basis_norm,
-                         ground_x_expectation, y_from_x)
+                         _log_basis_norms, ground_x_expectation, y_from_x)
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
                        symtridiag_eigen)
 from .operators import _band_entries
@@ -132,13 +132,12 @@ def gen_factorial(n: int, s: float) -> float:
 
 def _log_binom_sqrt(s: float, n_terms: int) -> np.ndarray:
     # 0.5 * ln C(n+2s-1, n) for n = 0 .. n_terms-1, from phi_n's normalizer.
-    log_norm_0 = _log_basis_norm(0, s)
-    return np.array([log_norm_0 - _log_basis_norm(n, s)
-                     for n in range(n_terms)])
+    v = _log_basis_norms(n_terms, s)
+    return v[0] - v
 
 
 # Most coefficients of one state, 4 MiB of complex128 at the cap; the
-# `coherent` report at the cap peaks at about 0.4 GB resident (JSON).
+# `coherent` report at the cap peaks at about 0.18 GB resident (JSON).
 _MAX_COEFFICIENTS = 1 << 18
 
 
@@ -724,8 +723,7 @@ def project_onto_basis(wavefunction, s: float, n_terms: int,
     # The rule's weight already carries y^{2s-1} e^{-y}; divide the basis
     # envelope and the measure's 1/y out of the integrand.
     lag = laguerre_sequence(n_terms - 1, 2.0 * s - 1.0, y)
-    log_n = np.array([_log_basis_norm(n, s) for n in range(n_terms)])
-    rows = lag * np.exp(log_n)[:, None]
+    rows = lag * np.exp(_log_basis_norms(n_terms, s))[:, None]
     with np.errstate(over="ignore"):
         strip = f_vals * np.exp(0.5 * y - s * np.log(y))
     if not np.all(np.isfinite(strip)):

@@ -158,10 +158,11 @@ def _log_basis_norm(n: int, s: float) -> float:
     return -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
 
 
-def _phi_from_laguerre(lag, n: int, s: float, log_env: np.ndarray):
-    # phi_n from L_n^{2s-1}(y) and the log envelope at the same points.
-    with np.errstate(under="ignore"):
-        return lag * np.exp(_log_basis_norm(n, s) + log_env)
+def _log_basis_norms(n_terms: int, s: float) -> np.ndarray:
+    # _log_basis_norm(n, s) for n < n_terms, to the bit, as whole arrays.
+    n = np.arange(n_terms, dtype=float)
+    return -0.5 * (np.array(list(map(math.lgamma, (n + 2.0 * s).tolist())))
+                   - np.array(list(map(math.lgamma, (n + 1.0).tolist()))))
 
 
 def pseudo_wavefunction(n: int, s: float, y):
@@ -180,7 +181,8 @@ def pseudo_wavefunction(n: int, s: float, y):
     # The last row of the recurrence, without the table of the rows before.
     for lag in _laguerre_rows(n, 2.0 * s - 1.0, y_arr):
         pass
-    out = _phi_from_laguerre(lag, n, s, _log_envelope(s, y_arr))
+    with np.errstate(under="ignore"):
+        out = lag * np.exp(_log_basis_norm(n, s) + _log_envelope(s, y_arr))
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -197,8 +199,9 @@ def pseudo_wavefunctions(n_max: int, s: float, y) -> np.ndarray:
     y_arr = _check_y(y)
     lag = laguerre_sequence(n_max, 2.0 * s - 1.0, y_arr)
     log_env = _log_envelope(s, y_arr)
-    for n in range(n_max + 1):
-        lag[n] = _phi_from_laguerre(lag[n], n, s, log_env)
+    with np.errstate(under="ignore"):
+        for n, log_norm in enumerate(_log_basis_norms(n_max + 1, s).tolist()):
+            lag[n] = lag[n] * np.exp(log_norm + log_env)
     return lag
 
 

@@ -31,8 +31,8 @@ __all__ = [
 
 _MAX_RULE_POINTS = 512
 # Largest Laguerre table, orders x points, 8 MiB of float64 at the cap. It
-# bounds the `basis` and `wavefunction` reports, which peak at about 0.5 GB
-# resident (JSON) at this cap and the grid cap.
+# bounds the `basis` and `wavefunction` reports, which peak at about 0.27 GB
+# resident (JSON; 0.24 GB in CSV) at this cap and the grid cap.
 _MAX_LAGUERRE_VALUES = 1 << 20
 # exp(x) is finite exactly for x <= this float, ln of the largest float.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)

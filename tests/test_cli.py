@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morsecs import cli, coherent, morse_core
-from morsecs.cli import _csv_table, main
+from morsecs.cli import _csv_table, _json_table, main
 
 
 def run(capsys, *argv):
@@ -82,6 +83,19 @@ def numpy_scalar_table(header, rows):
     for row in rows:
         writer.writerow([cell(v) for v in row])
     return buf.getvalue()
+
+
+def json_dumps_table(config, header, rows):
+    """Reference JSON report: one dict per row, through json.dumps (finite
+    Python floats, ints, bools and strings only)."""
+    data = [dict(zip(header, row)) for row in rows]
+    return json.dumps({"config": config, "data": data}, indent=2) + "\n"
+
+
+# A config holding every kind of JSON value, so that the rows are spliced
+# after a nested document.
+CONFIG = {"command": "t", "s": 1.75, "n": 3, "grid": [0.0, 1.0, 3],
+          "quick": False, "label": 'q"\\%{null}'}
 
 
 class TestBasis:
@@ -364,6 +378,22 @@ class TestSizeCaps:
             self, argv):
         assert_refused_under_cap(*argv)
 
+    @pytest.mark.parametrize("kind", ["bare", "numpy"])
+    def test_memory_error_is_one_line_exit_2(self, capsys, monkeypatch, kind):
+        # A legal report can still exhaust a host short of memory.
+        def handler(args):
+            if kind == "bare":
+                raise MemoryError
+            np.empty(1 << 58)  # 2 EiB: refused before anything is mapped
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_cmd_spectrum", handler)
+        code, out, err = run(capsys, "spectrum", "--s", "3.6")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("morsecs: out of memory" if kind == "bare" else
+                              "morsecs: Unable to allocate 2.00 EiB ")
+
     def test_grid_bound(self, capsys, monkeypatch):
         # The bound admits exactly _MAX_GRID_POINTS points.
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 4)
@@ -492,6 +522,15 @@ class TestTables:
         expected = numpy_scalar_table(header, np_rows)
         assert _csv_table(header, py_cols) == expected
         assert _csv_table(header, np_cols) == expected
+        # The JSON writer on the finite rows, against json.dumps of dicts.
+        keep = np.flatnonzero(np.isfinite(values)).tolist()
+        py_rows = [[k, values[k].item(), flags[k], names[k], blanks[k]]
+                   for k in keep]
+        expected = json_dumps_table(CONFIG, header, py_rows)
+        for cols in (py_cols, np_cols):
+            kept = [col[keep] if isinstance(col, np.ndarray)
+                    else [col[k] for k in keep] for col in cols]
+            assert _json_table(CONFIG, header, kept) == expected
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())
@@ -506,16 +545,30 @@ class TestTables:
         ints = st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n_rows,
                         max_size=n_rows)
         bools = st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+        # Quotes, backslashes, control characters and non-ASCII text, in
+        # the cells and in the header.
+        chars = st.sampled_from(
+            'ab ,"\\%{}\r\n\t\x00\x1f\x7f\x85\xe9\u2028\U0001f600')
         texts = st.lists(st.one_of(st.just(""), st.just('""'), st.text(
-            alphabet=st.sampled_from('ab ,"\r\n'), max_size=6)),
-            min_size=n_rows, max_size=n_rows)
+            alphabet=chars, max_size=6)), min_size=n_rows, max_size=n_rows)
         columns = data.draw(st.lists(st.one_of(floats, ints, bools, texts),
                                      min_size=2, max_size=5))
-        header = data.draw(st.lists(st.sampled_from(["y", "a,b", 'q"', "c\rd"]),
-                                    min_size=len(columns),
-                                    max_size=len(columns)))
+        # Distinct names, as the keys of each JSON row are.
+        header = data.draw(st.lists(
+            st.one_of(st.sampled_from(["y", "a,b", 'q"', "c\rd", "%s", "%",
+                                       "\\", "{", "phi\u2080"]),
+                      st.text(alphabet=chars, max_size=4)),
+            min_size=len(columns), max_size=len(columns), unique=True))
         rows = [list(row) for row in zip(*columns)]
         assert _csv_table(header, columns) == numpy_scalar_table(header, rows)
+        # The JSON writer on the same table, with the non-finite cells of
+        # each float column replaced: a report never holds one.
+        columns = [np.nan_to_num(col, posinf=1.5, neginf=-2.5)
+                   if isinstance(col, np.ndarray) else col for col in columns]
+        rows = [[v.item() if isinstance(v, np.float64) else v for v in row]
+                for row in zip(*columns)]
+        assert (_json_table(CONFIG, header, columns)
+                == json_dumps_table(CONFIG, header, rows))
 
     def test_float_columns_spell_every_cell_as_repr(self):
         # Seeded bit patterns (subnormals, non-finite and every binade),
@@ -536,12 +589,38 @@ class TestTables:
         lines = _csv_table(["v"], [col]).split("\n")
         assert lines[0] == "v" and lines[-1] == ""
         assert lines[1:-1] == list(map(float.__repr__, col.tolist()))
+        finite = col[np.isfinite(col)]
+        assert _json_table({}, ["v"], [finite]) == json_dumps_table(
+            {}, ["v"], [[v] for v in finite.tolist()])
         # One-cell columns, so that a column holding no cell orjson spells
         # 0.0000... or null takes the path without the repr mask.
         signed = np.concatenate([edges, -edges]).tolist()
         assert [_csv_table(["v"], [np.array([v])]) for v in signed] == [
             f"v\n{v!r}\n" for v in signed]
         assert _csv_table(["v", "w"], [np.array([]), np.array([])]) == "v,w\n"
+        assert _json_table(CONFIG, ["v", "w"], [np.array([]), []]) == (
+            json_dumps_table(CONFIG, ["v", "w"], []))
+
+    @pytest.mark.parametrize("argv", [
+        ("coherent", "--s", "1.75", "--beta", "0.3+0.4i", "--n", "65536"),
+        ("basis", "--s", "1.75", "--n-max", "3", "--grid", "0:1:65536"),
+    ])
+    def test_json_report_peak_is_near_csv(self, tmp_path, argv):
+        # The JSON rows are spliced from the CSV's cell strings, so the
+        # JSON report holds no per-row dict or float object beyond them.
+        def peak(fmt):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "--format", fmt,
+                             "--out", str(tmp_path / fmt)])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        main(["spectrum", "--s", "3.6", "--out", str(tmp_path / "warm")])
+        (csv_code, csv_peak), (json_code, json_peak) = peak("csv"), peak("json")
+        assert (csv_code, json_code) == (0, 0)
+        assert json_peak <= 1.5 * csv_peak, (json_peak, csv_peak)
 
     def test_basis_table_bytes(self, capsys):
         _, out, _ = run(capsys, "basis", "--s", "2.3", "--n-max", "20",

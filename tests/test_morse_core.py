@@ -6,6 +6,8 @@ import pytest
 from morsecs.errors import DomainError, MarginalStateWarning
 from morsecs.morse_core import (
     LogGrid,
+    _log_basis_norm,
+    _log_basis_norms,
     ShapeParams,
     apply_operator_fd,
     bound_energy,
@@ -73,6 +75,18 @@ class TestNormCoefficient:
     def test_domain(self):
         with pytest.raises(DomainError):
             norm_coefficient(0, 1.0)
+
+
+class TestLogBasisNorms:
+    def test_bits_of_the_scalar_form(self):
+        # The vector serves coefficients, projections and basis tables; each
+        # entry must be the scalar normalizer's float, to the bit.
+        shapes = np.concatenate([np.geomspace(0.0101, 511.5, 300),
+                                 [0.5, 1.0, 1.75, 3.6, 511.0]])
+        for s in shapes.tolist():
+            want = np.array([_log_basis_norm(n, s) for n in range(2001)])
+            assert _log_basis_norms(2001, s).tobytes() == want.tobytes(), s
+        assert _log_basis_norms(0, 1.75).shape == (0,)
 
 
 class TestPseudoWavefunction:

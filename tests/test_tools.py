@@ -48,7 +48,9 @@ def test_replay_parity_prints_one_table_per_workload():
 
 
 def test_fixed_argv_list_is_replayed_on_every_run():
-    # Every table command in json, ham and verify --quick in each format,
+    # Every table command in json (exponent cells, a tiny imaginary part,
+    # one ham coupling and 512 levels among them), ham and verify --quick
+    # in each format,
     # displace at orders not divisible by 3, at zero angles and with a
     # truncated intermediate state, spectrum at 512 levels and at integer
     # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
@@ -56,10 +58,10 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # column, two reports with non-finite cells, and the error, version
     # and help paths of the parser: all outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"--help": (1, 0), "--version": (1, 0), "basis": (5, 0),
-                     "coherent": (4, 0), "displace": (5, 0), "ham": (5, 0),
+    assert fixed == {"--help": (1, 0), "--version": (1, 0), "basis": (6, 0),
+                     "coherent": (5, 0), "displace": (5, 0), "ham": (7, 0),
                      "nosuch": (1, 0), "resolution": (3, 0),
-                     "spectrum": (6, 0), "verify": (4, 0),
+                     "spectrum": (7, 0), "verify": (4, 0),
                      "wavefunction": (3, 0)}
     argvs = [" ".join(argv) for argv in replay_parity.FIXED]
     table_commands = {"basis", "ham", "spectrum", "coherent", "wavefunction",
@@ -67,7 +69,8 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     assert {a.split()[0] for a in argvs if "--format json" in a} == table_commands
     assert {a for a in argvs if a.startswith("ham")} == {
         "ham --s 3.6 --n 12", "ham --s 3.6 --n 12 --format json",
-        "ham --s 1e17 --n 3", "ham --s 3.6 --n 2", "ham --help"}
+        "ham --s 1e17 --n 3", "ham --s 3.6 --n 2", "ham --help",
+        "ham --s 1e17 --n 3 --format json", "ham --s 3.6 --n 2 --format json"}
     assert sorted(a for a in argvs if a.startswith("verify")) == [
         "verify --help", "verify --quick", "verify --quick --format csv",
         "verify --quick --format json"]
@@ -86,6 +89,10 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # and e+17 cells.
     assert {"basis --s 1.75 --n-max 6 --grid 4:12:40",
             "ham --s 1e17 --n 3"} <= set(argvs)
+    # The same cells in JSON, with a tiny imaginary part and 512 levels.
+    assert {"basis --s 1.75 --n-max 6 --grid 4:12:40 --format json",
+            "coherent --s 1.75 --beta 1e-200i --n 3 --format json",
+            "spectrum --s 511.5 --format json"} <= set(argvs)
     # The exit-2 path of a non-finite cell, in basis and in wavefunction.
     assert {"basis --s 1.75 --n-max 250 --grid -7.5:-7.4:2",
             "wavefunction --s 1.75 --beta 0.3 --n 400 --grid -7.5:-6:4"

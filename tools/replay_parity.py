@@ -10,17 +10,18 @@ workload (all three by default) in turn: its untimed warm-up jobs, then the
 first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
 and stderr; library jobs on np.asarray(value).tobytes(), the
 TruncationWarning flag and any escaped exception. Every run also replays
-FIXED, a list of argvs the benchmark does not draw (the JSON reports, `ham`,
-`verify --quick` in each format, `displace` at orders not divisible by 3,
-at a zero angle and with a truncated intermediate state, `spectrum` with
-512 levels and at integer s with 4 and 512 levels, a radial rule at
-b = -0.98, a report written with --out, whose file is compared too, CSV
-cells with exponents from e-09 to e+17, `ham` with one super-diagonal
-cell, `basis` and `wavefunction` reports with non-finite cells (exit 2),
-argument errors, `--version`, and `--help` of the program and of every
-command), as a table named "fixed". Prints, per workload, a table of
-identical and differing counts per job kind and the first difference;
-exits 1 on any difference.
+FIXED, a list of argvs the benchmark does not draw (the JSON reports, with
+exponent cells, a tiny imaginary part, one `ham` coupling and 512 levels
+among them, `ham`, `verify --quick` in each format, `displace` at orders
+not divisible by 3, at a zero angle and with a truncated intermediate
+state, `spectrum` with 512 levels and at integer s with 4 and 512 levels,
+a radial rule at b = -0.98, a report written with --out, whose file is
+compared too, CSV cells with exponents from e-09 to e+17, `ham` with one
+super-diagonal cell, `basis` and `wavefunction` reports with non-finite
+cells (exit 2), argument errors, `--version`, and `--help` of the program
+and of every command), as a table named "fixed". Prints, per workload, a
+table of identical and differing counts per job kind and the first
+difference; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ FIXED = (
     ("ham", "--s", "1e17", "--n", "3"),
     # One super-diagonal cell, then the padded blank.
     ("ham", "--s", "3.6", "--n", "2"),
+    # JSON cells with exponents, a tiny imaginary part, one super-diagonal
+    # cell and 512 levels.
+    ("ham", "--s", "3.6", "--n", "2", "--format", "json"),
+    ("ham", "--s", "1e17", "--n", "3", "--format", "json"),
+    ("basis", "--s", "1.75", "--n-max", "6", "--grid", "4:12:40",
+     "--format", "json"),
+    ("coherent", "--s", "1.75", "--beta", "1e-200i", "--n", "3",
+     "--format", "json"),
+    ("spectrum", "--s", "511.5", "--format", "json"),
     # Non-finite cells: exit 2 with the column's one-line message.
     ("basis", "--s", "1.75", "--n-max", "250", "--grid", "-7.5:-7.4:2"),
     ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "400",
