@@ -50,12 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_complex(text: str) -> complex:
     """Accept 'a+bi' as well as Python's 'a+bj' notation."""
-    cleaned = text.strip().replace("i", "j").replace("I", "j")
     try:
-        value = complex(cleaned)
+        return complex(text.strip().replace("i", "j").replace("I", "j"))
     except ValueError:
         raise DomainError(f"cannot parse complex number from {text!r}")
-    return value
 
 
 # Most grid points, 2 MiB per float64 column at the cap.
@@ -219,8 +217,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_coherent(args):
-    s = args.s
-    n = args.n
+    s, n = args.s, args.n
     label = _resolve_label(args, s)
     state = coherent.coefficients(label, s, n)
     c = state.coeffs
@@ -234,8 +231,7 @@ def _cmd_coherent(args):
 
 
 def _cmd_wavefunction(args):
-    s = args.s
-    n = args.n
+    s, n = args.s, args.n
     label = _resolve_label(args, s)
     grid, y = _parse_grid(args.grid)
     tail = coherent.coefficient_tail_bound(label, s, n)
@@ -392,24 +388,25 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(
             f"morsecs: warning: {message}", file=sys.stderr)
+        # Writing can run out of memory too, so it stays inside this try.
         try:
             body, code = args.handler(args)
+            if not args.out:
+                sys.stdout.write(body)
+                return code
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                print(f"morsecs: cannot write {args.out.translate(_ONE_LINE)}: "
+                      f"{exc.strerror}", file=sys.stderr)
+                return 1
         except DomainError as exc:
             print(f"morsecs: {exc}", file=sys.stderr)
             return 1
         except (ConsistencyError, CapabilityError, MemoryError) as exc:
             print(f"morsecs: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 2
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(body)
-        except OSError as exc:
-            print(f"morsecs: cannot write {args.out.translate(_ONE_LINE)}: "
-                  f"{exc.strerror}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(body)
     return code
 
 

@@ -132,8 +132,7 @@ def gen_factorial(n: int, s: float) -> float:
 
 def _log_binom_sqrt(s: float, n_terms: int) -> np.ndarray:
     # 0.5 * ln C(n+2s-1, n) for n = 0 .. n_terms-1, from phi_n's normalizer.
-    v = _log_basis_norms(n_terms, s)
-    return v[0] - v
+    return _log_basis_norm(0, s) - _log_basis_norms(n_terms, s)
 
 
 # Most coefficients of one state, 4 MiB of complex128 at the cap; the

@@ -159,10 +159,16 @@ def _log_basis_norm(n: int, s: float) -> float:
 
 
 def _log_basis_norms(n_terms: int, s: float) -> np.ndarray:
-    # _log_basis_norm(n, s) for n < n_terms, to the bit, as whole arrays.
+    # _log_basis_norm(n, s) for n < n_terms, to the bit; s passed _check_s.
     n = np.arange(n_terms, dtype=float)
     return -0.5 * (np.array(list(map(math.lgamma, (n + 2.0 * s).tolist())))
                    - np.array(list(map(math.lgamma, (n + 1.0).tolist()))))
+
+
+def _phi_from_laguerre(lag, log_norm: float, log_env: np.ndarray):
+    # phi_n from L_n^{2s-1}(y), ln of its normalizer and the log envelope.
+    with np.errstate(under="ignore"):
+        return lag * np.exp(log_norm + log_env)
 
 
 def pseudo_wavefunction(n: int, s: float, y):
@@ -181,8 +187,7 @@ def pseudo_wavefunction(n: int, s: float, y):
     # The last row of the recurrence, without the table of the rows before.
     for lag in _laguerre_rows(n, 2.0 * s - 1.0, y_arr):
         pass
-    with np.errstate(under="ignore"):
-        out = lag * np.exp(_log_basis_norm(n, s) + _log_envelope(s, y_arr))
+    out = _phi_from_laguerre(lag, _log_basis_norm(n, s), _log_envelope(s, y_arr))
     return float(out) if np.ndim(y) == 0 else out
 
 
@@ -199,9 +204,8 @@ def pseudo_wavefunctions(n_max: int, s: float, y) -> np.ndarray:
     y_arr = _check_y(y)
     lag = laguerre_sequence(n_max, 2.0 * s - 1.0, y_arr)
     log_env = _log_envelope(s, y_arr)
-    with np.errstate(under="ignore"):
-        for n, log_norm in enumerate(_log_basis_norms(n_max + 1, s).tolist()):
-            lag[n] = lag[n] * np.exp(log_norm + log_env)
+    for n, log_norm in enumerate(_log_basis_norms(n_max + 1, s).tolist()):
+        lag[n] = _phi_from_laguerre(lag[n], log_norm, log_env)
     return lag
 
 

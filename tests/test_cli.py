@@ -378,21 +378,30 @@ class TestSizeCaps:
             self, argv):
         assert_refused_under_cap(*argv)
 
-    @pytest.mark.parametrize("kind", ["bare", "numpy"])
+    @pytest.mark.parametrize("kind", ["bare", "numpy", "write"])
     def test_memory_error_is_one_line_exit_2(self, capsys, monkeypatch, kind):
-        # A legal report can still exhaust a host short of memory.
+        # A legal report can still exhaust a host short of memory, while it
+        # is built or while it is written out.
         def handler(args):
             if kind == "bare":
                 raise MemoryError
-            np.empty(1 << 58)  # 2 EiB: refused before anything is mapped
+            if kind == "numpy":
+                np.empty(1 << 58)  # 2 EiB: refused before anything is mapped
+            return "index\n0\n", 0
+
+        class FullStream:
+            def write(self, text):
+                raise MemoryError
 
         monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "_cmd_spectrum", handler)
+        if kind == "write":
+            monkeypatch.setattr(sys, "stdout", FullStream())
         code, out, err = run(capsys, "spectrum", "--s", "3.6")
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and err.endswith("\n")
-        assert err.startswith("morsecs: out of memory" if kind == "bare" else
-                              "morsecs: Unable to allocate 2.00 EiB ")
+        assert err.startswith("morsecs: Unable to allocate 2.00 EiB "
+                              if kind == "numpy" else "morsecs: out of memory")
 
     def test_grid_bound(self, capsys, monkeypatch):
         # The bound admits exactly _MAX_GRID_POINTS points.
@@ -553,16 +562,20 @@ class TestTables:
             alphabet=chars, max_size=6)), min_size=n_rows, max_size=n_rows)
         columns = data.draw(st.lists(st.one_of(floats, ints, bools, texts),
                                      min_size=2, max_size=5))
-        # Distinct names, as the keys of each JSON row are.
+        # Repeated names included: the CSV writer takes any header.
         header = data.draw(st.lists(
             st.one_of(st.sampled_from(["y", "a,b", 'q"', "c\rd", "%s", "%",
                                        "\\", "{", "phi\u2080"]),
                       st.text(alphabet=chars, max_size=4)),
-            min_size=len(columns), max_size=len(columns), unique=True))
+            min_size=len(columns), max_size=len(columns)))
         rows = [list(row) for row in zip(*columns)]
         assert _csv_table(header, columns) == numpy_scalar_table(header, rows)
         # The JSON writer on the same table, with the non-finite cells of
-        # each float column replaced: a report never holds one.
+        # each float column replaced: a report never holds one. The
+        # reference keys a dict by name, so repeated names get a suffix
+        # (no drawn name holds a digit).
+        if len(set(header)) < len(header):
+            header = [f"{name}{k}" for k, name in enumerate(header)]
         columns = [np.nan_to_num(col, posinf=1.5, neginf=-2.5)
                    if isinstance(col, np.ndarray) else col for col in columns]
         rows = [[v.item() if isinstance(v, np.float64) else v for v in row]
