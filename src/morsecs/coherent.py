@@ -504,19 +504,37 @@ def _q_strip_mass(s: float, box_q: float) -> float:
     return float(w @ f)
 
 
-# Nodes per block of the phase-space sum.
+# Nodes per block of the phase-space sum: whole x rows of the q >= 0 half
+# grid, or slices of one row where a half row is wider than this.
 _PS_BLOCK = 4096
+# Most basis states and most (x, q) grid nodes of one phase-space check,
+# checked before anything is allocated. A block holds at most _PS_BLOCK
+# columns, so memory stays O(m_basis (_PS_BLOCK + m_basis)) at any node
+# count.
+_MAX_PS_BASIS = 256
+_MAX_PS_NODES = 1 << 24
 
 
 def _ps_node_counts(s: float, m_basis: int, box_x: float, box_q: float,
                     n_x: int | None, n_p: int | None) -> tuple[int, int]:
     # Resolve the fastest angular oscillation (n - m) arg beta at roughly
-    # eight points per period, plus a safety floor.
+    # eight points per period, plus a safety floor. A default beyond the
+    # node cap is clipped to it first, so a huge box cannot overflow int().
     if n_x is None:
-        n_x = int(8.0 * box_x * max(m_basis - 1, 1) / math.pi) + 64
+        n_x = int(min(8.0 * box_x * max(m_basis - 1, 1) / math.pi,
+                      _MAX_PS_NODES)) + 64
     if n_p is None:
-        n_p = int(8.0 * box_q * max(m_basis - 1, 1) / (math.pi * s)) + 64
-    return int(n_x), int(n_p)
+        n_p = int(min(8.0 * box_q * max(m_basis - 1, 1) / (math.pi * s),
+                      _MAX_PS_NODES)) + 64
+    n_x, n_p = int(n_x), int(n_p)
+    if n_x < 2 or n_p < 2:
+        raise DomainError("the phase-space grid needs n_x, n_p >= 2")
+    if m_basis > _MAX_PS_BASIS or n_x * n_p > _MAX_PS_NODES:
+        raise CapabilityError(
+            f"phase-space check of {m_basis} states on {n_x} x {n_p} nodes "
+            f"exceeds the supported maximum of {_MAX_PS_BASIS} states on "
+            f"{_MAX_PS_NODES} nodes")
+    return n_x, n_p
 
 
 def phase_space_measure_check(s: float, m_basis: int,
@@ -526,8 +544,8 @@ def phase_space_measure_check(s: float, m_basis: int,
     """Resolution of unity in the (x, p) coordinates over a finite box.
 
     The density (2s-1)/(4s) dx dp equals the disk measure under the label
-    change, so the returned m_basis x m_basis matrix converges to pi times
-    the identity as the box grows; this operation is the numerical
+    change, so the returned real m_basis x m_basis matrix converges to pi
+    times the identity as the box grows; this operation is the numerical
     confirmation of that Jacobian identity.
 
     Box semantics: the integrand concentrates along the sheared curves
@@ -538,11 +556,19 @@ def phase_space_measure_check(s: float, m_basis: int,
     many nodes it gets; the sheared box reaches 1e-3 by (8, 80) and keeps
     improving (2.5e-6 at (12, 400) for s = 1.75, m_basis = 8).
 
+    Both rules are trapezoids, n_x nodes in x and n_p in q, the q nodes
+    q_j = (j - (n_p-1)/2) h exactly antisymmetric. q -> -q maps beta to
+    its conjugate and each term of the sum to its complex conjugate, so
+    only the q >= 0 half is evaluated, its weights doubled for q > 0, and
+    the sum is the real part, Re(conj(c_m) c_n), one real product.
+
     The mass dropped outside the box is estimated by
     phase_space_tail_estimate; when it exceeds 1e-6 a TruncationWarning
     carrying the estimate is issued, meaning no node count can push the
     agreement much below that level on this box. Node counts default to
-    about eight points per period of the fastest oscillation.
+    about eight points per period of the fastest oscillation; both must be
+    at least 2 (DomainError). More than _MAX_PS_BASIS states or
+    _MAX_PS_NODES nodes raise CapabilityError before anything is allocated.
     """
     s, m_basis, box_x, box_q = _check_ps_args(s, m_basis, box)
     n_x, n_p = _ps_node_counts(s, m_basis, box_x, box_q, n_x, n_p)
@@ -555,41 +581,39 @@ def phase_space_measure_check(s: float, m_basis: int,
             TruncationWarning, stacklevel=2)
 
     x_nodes = np.linspace(-box_x, box_x, n_x)
-    q_nodes = np.linspace(-box_q, box_q, n_p)
-    w_x = np.full(n_x, x_nodes[1] - x_nodes[0])
-    w_x[0] *= 0.5
-    w_x[-1] *= 0.5
-    w_q = np.full(n_p, q_nodes[1] - q_nodes[0])
-    w_q[0] *= 0.5
-    w_q[-1] *= 0.5
+    # x weights carry the e^{-x} Jacobian of q.
+    w_x = np.full(n_x, x_nodes[1] - x_nodes[0]) * np.exp(-x_nodes)
+    w_x[[0, -1]] *= 0.5
+    h = 2.0 * box_q / (n_p - 1)
+    q_nodes = (np.arange(n_p // 2, n_p) - 0.5 * (n_p - 1)) * h
+    # Doubled for each mirror node -q, halved at q = Q; q = 0 counts once.
+    w_q = np.where(q_nodes > 0.0, 2.0 * h, h)
+    w_q[-1] = h
 
-    # Real factors are cast to complex once, so each product below is one
-    # complex multiply without a buffered broadcast cast; casting="no"
-    # keeps it that way. The values, and so the bits, are those of the
-    # promoted real * complex products.
-    b_n = np.exp(_log_binom_sqrt(s, m_basis)).astype(complex)[:, None]
-    out = np.zeros((m_basis, m_basis), dtype=complex)
-    # Whole x rows in blocks of about _PS_BLOCK nodes, accumulated in a
-    # fixed order: memory stays flat, and the block size depends only on
-    # n_p, so the result is a pure function of the arguments.
-    rows = max(1, _PS_BLOCK // n_p)
+    b_n = np.exp(_log_binom_sqrt(s, m_basis))[:, None]
+    out = np.zeros((m_basis, m_basis))
+    # Blocks of about _PS_BLOCK nodes, accumulated in a fixed order: memory
+    # stays flat, and the blocks depend only on n_p, so the result is a
+    # pure function of the arguments.
+    rows = max(1, _PS_BLOCK // q_nodes.size)
     for i0 in range(0, n_x, rows):
         x = x_nodes[i0:i0 + rows, None]
-        w = (np.exp(x) + 1j * q_nodes / s).ravel()
-        beta = (w - 1.0) / (w + 1.0)
-        ab = np.abs(beta)
-        # col[k] = (1-|beta|^2)^s beta^k by recurrence, then times b_k.
-        col = np.empty((m_basis, w.size), dtype=complex)
-        with np.errstate(under="ignore"):
-            col[0] = np.exp(s * np.log1p(-(ab * ab)))
-            for k in range(1, m_basis):
-                col[k] = col[k - 1] * beta
-        np.multiply(col, b_n, out=col, casting="no")
-        weight = ((w_x[i0:i0 + rows, None] * np.exp(-x)) * w_q).ravel()
-        weighted = col.conj()
-        np.multiply(weighted, weight.astype(complex), out=weighted,
-                    casting="no")
-        out += weighted @ col.T
+        for j0 in range(0, q_nodes.size, _PS_BLOCK):
+            q = q_nodes[j0:j0 + _PS_BLOCK]
+            w = (np.exp(x) + 1j * q / s).ravel()
+            beta = (w - 1.0) / (w + 1.0)
+            ab = np.abs(beta)
+            # col[k] = (1-|beta|^2)^s beta^k by recurrence, then times b_k.
+            col = np.empty((m_basis, w.size), dtype=complex)
+            with np.errstate(under="ignore"):
+                col[0] = np.exp(s * np.log1p(-(ab * ab)))
+                for k in range(1, m_basis):
+                    col[k] = col[k - 1] * beta
+            # Re(conj(c_m) c_n) = Re c_m Re c_n + Im c_m Im c_n.
+            cv = col.view(np.float64)
+            cv *= b_n
+            weight = (w_x[i0:i0 + rows, None] * w_q[j0:j0 + _PS_BLOCK]).ravel()
+            out += (cv * np.repeat(weight, 2)) @ cv.T
     out *= (2.0 * s - 1.0) / (4.0 * s)
     return out
 

@@ -28,6 +28,8 @@ from morsecs.coherent import (
     _x_strip_mass,
     _MAX_ANGULAR_POINTS,
     _MAX_DISPLACEMENT_ORDER,
+    _MAX_PS_BASIS,
+    _MAX_PS_NODES,
     _MAX_RADIAL_POINTS,
     CoherentLabel,
     _jacobi01_rule,
@@ -359,12 +361,14 @@ def dense_disk_resolution(s, m, n_radial, n_angular):
 
 
 def row_by_row_phase_space(s, m, box, n_x, n_p):
-    """The phase-space sum one x node at a time, each column from exp/log."""
+    """The phase-space sum over the whole grid, one x node at a time, each
+    column from exp/log; the q nodes (j - (n_p-1)/2) h of the module."""
     x_nodes = np.linspace(-box[0], box[0], n_x)
-    q_nodes = np.linspace(-box[1], box[1], n_p)
+    h = 2.0 * box[1] / (n_p - 1)
+    q_nodes = (np.arange(n_p) - 0.5 * (n_p - 1)) * h
     w_x = np.full(n_x, x_nodes[1] - x_nodes[0])
     w_x[[0, -1]] *= 0.5
-    w_q = np.full(n_p, q_nodes[1] - q_nodes[0])
+    w_q = np.full(n_p, h)
     w_q[[0, -1]] *= 0.5
     n = np.arange(m)
     log_b = 0.5 * (scipy.special.gammaln(n + 2.0 * s)
@@ -375,7 +379,8 @@ def row_by_row_phase_space(s, m, box, n_x, n_p):
         w = math.exp(x_nodes[i]) + 1j * q_nodes / s
         beta = (w - 1.0) / (w + 1.0)
         ab = np.abs(beta)
-        with np.errstate(divide="ignore", under="ignore"):
+        # beta = 0 at x = q = 0: 0 * log 0 is nan in row 0, then replaced.
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
             n_log = n[:, None] * np.log(ab)[None, :]
             n_log[0, :] = 0.0
             mag = np.exp(s * np.log1p(-ab * ab)[None, :] + log_b[:, None]
@@ -384,37 +389,6 @@ def row_by_row_phase_space(s, m, box, n_x, n_p):
         weight = w_x[i] * math.exp(-x_nodes[i]) * w_q
         out += (col.conj() * weight) @ col.T
     return out * (2.0 * s - 1.0) / (4.0 * s)
-
-
-def promoted_phase_space(s, m, box, n_x, n_p):
-    """The blocked phase-space sum with real factors promoted to complex
-    inside each product, as NumPy does for real * complex operands."""
-    x_nodes = np.linspace(-box[0], box[0], n_x)
-    q_nodes = np.linspace(-box[1], box[1], n_p)
-    w_x = np.full(n_x, x_nodes[1] - x_nodes[0])
-    w_x[0] *= 0.5
-    w_x[-1] *= 0.5
-    w_q = np.full(n_p, q_nodes[1] - q_nodes[0])
-    w_q[0] *= 0.5
-    w_q[-1] *= 0.5
-    b_n = np.exp(_log_binom_sqrt(s, m))[:, None]
-    out = np.zeros((m, m), dtype=complex)
-    rows = max(1, _PS_BLOCK // n_p)
-    for i0 in range(0, n_x, rows):
-        x = x_nodes[i0:i0 + rows, None]
-        w = (np.exp(x) + 1j * q_nodes / s).ravel()
-        beta = (w - 1.0) / (w + 1.0)
-        ab = np.abs(beta)
-        col = np.empty((m, w.size), dtype=complex)
-        with np.errstate(under="ignore"):
-            col[0] = np.exp(s * np.log1p(-(ab * ab)))
-            for k in range(1, m):
-                col[k] = col[k - 1] * beta
-        col *= b_n
-        weight = ((w_x[i0:i0 + rows, None] * np.exp(-x)) * w_q).ravel()
-        out += (col.conj() * weight) @ col.T
-    out *= (2.0 * s - 1.0) / (4.0 * s)
-    return out
 
 
 # Regression guard for the former O(m n_radial n_angular) panel: 3 GB for
@@ -530,6 +504,21 @@ Q_STRIP_REFERENCE = (
 )
 
 
+_CAPPED_PHASE_SPACE = """
+import resource, tracemalloc, warnings
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from morsecs.coherent import (_MAX_PS_BASIS, _PS_BLOCK,
+                              phase_space_measure_check)
+from morsecs.errors import TruncationWarning
+warnings.simplefilter("ignore", TruncationWarning)
+tracemalloc.start()
+out = phase_space_measure_check(1.75, _MAX_PS_BASIS, box=(8.0, 80.0),
+                                n_x=2, n_p=8 * _PS_BLOCK)
+print(bool(np.isfinite(out).all()), tracemalloc.get_traced_memory()[1])
+"""
+
+
 class TestPhaseSpaceMeasure:
     def test_sheared_box_reaches_tolerance(self):
         with warnings.catch_warnings():
@@ -548,9 +537,16 @@ class TestPhaseSpaceMeasure:
         (1.75, 8, (8.0, 80.0), 206, 878),
         (1.75, 8, (10.0, 200.0), 242, 2101),
         (0.8, 3, (8.0, 80.0), 104, 575),
-        (4.5, 2, (10.0, 200.0), 89, 177),
+        (4.5, 2, (10.0, 200.0), 89, 177),    # beta = 0 is a node
         (1.0, 1, (8.0, 80.0), 80, 100),
-        (1.91, 5, (10.0, 200.0), 30, 5000),  # rows wider than one block
+        (1.75, 4, (4.0, 20.0), 30, 2),       # the half grid is q = Q
+        (0.9, 3, (4.0, 20.0), 9, 3),         # q = 0 and q = Q
+        (0.5000001, 7, (4.0, 30.0), 40, 700),  # several rows per block
+        (0.76, 12, (8.0, 80.0), 30, 1501),
+        (1.91, 5, (10.0, 200.0), 30, 5000),  # half rows of 2500 nodes
+        # Half rows wider than one block, odd and even n_p.
+        (0.51, 12, (6.0, 50.0), 12, 2 * _PS_BLOCK + 3),
+        (1.3, 6, (6.0, 60.0), 7, 2 * _PS_BLOCK + 2),
     ])
     def test_blocked_sum_matches_row_by_row(self, s, m, box, n_x, n_p):
         with warnings.catch_warnings():
@@ -559,19 +555,53 @@ class TestPhaseSpaceMeasure:
         ref = row_by_row_phase_space(s, m, box, n_x, n_p)
         assert np.abs(out - ref).max() < 1e-13
 
-    @pytest.mark.parametrize("m", [1, 7, 8, 12])
-    @pytest.mark.parametrize("s,box,n_x,n_p", [
-        (0.5000001, (4.0, 30.0), 40, 700),   # several rows per block
-        (0.51, (6.0, 50.0), 12, 5000),       # rows wider than one block
-        (0.76, (8.0, 80.0), 30, 1500),
+    def test_result_is_real(self):
+        # Mirror pairs q, -q sum to a real matrix, returned as one.
+        out = phase_space_measure_check(1.75, 6, box=(10.0, 200.0))
+        assert out.dtype == np.float64 and out.shape == (6, 6)
+
+    @pytest.mark.parametrize("n_x,n_p", [(1, 100), (0, 100), (100, 1),
+                                         (100, -5), (1, 10 ** 12)])
+    def test_grids_below_two_nodes_rejected(self, n_x, n_p):
+        # Refused before the node cap is read, so before any allocation.
+        with pytest.raises(DomainError, match="n_x, n_p >= 2"):
+            phase_space_measure_check(1.75, 2, n_x=n_x, n_p=n_p)
+
+    @pytest.mark.parametrize("m_basis,box,nodes", [
+        (_MAX_PS_BASIS + 1, (8.0, 80.0), {"n_x": 10, "n_p": 10}),
+        (10 ** 9, (8.0, 80.0), {"n_x": 10, "n_p": 10}),
+        (2, (8.0, 80.0), {"n_x": 2, "n_p": _MAX_PS_NODES // 2 + 1}),
+        (2, (8.0, 80.0), {"n_x": 10 ** 9, "n_p": 10 ** 9}),
+        # Default node counts past float range are clipped, not int()ed.
+        (2, (8.0, 1e308), {}),
     ])
-    def test_products_match_promoted_products_bitwise(self, s, box, n_x, n_p,
-                                                      m):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            out = phase_space_measure_check(s, m, box=box, n_x=n_x, n_p=n_p)
-        ref = promoted_phase_space(s, m, box, n_x, n_p)
-        assert out.tobytes() == ref.tobytes()
+    def test_sizes_beyond_caps_are_capability_errors(self, m_basis, box,
+                                                     nodes):
+        with pytest.raises(CapabilityError, match="supported maximum"):
+            phase_space_measure_check(1.75, m_basis, box=box, **nodes)
+
+    def test_caps_admit_their_bound(self, monkeypatch):
+        # The bounds admit exactly _MAX_PS_BASIS states on _MAX_PS_NODES.
+        monkeypatch.setattr(coherent, "_MAX_PS_BASIS", 3)
+        monkeypatch.setattr(coherent, "_MAX_PS_NODES", 20 * 30)
+        out = phase_space_measure_check(1.75, 3, n_x=20, n_p=30)
+        assert out.shape == (3, 3)
+        for m_basis, n_x, n_p in ((4, 20, 30), (3, 20, 31)):
+            with pytest.raises(CapabilityError, match="supported maximum"):
+                phase_space_measure_check(1.75, m_basis, n_x=n_x, n_p=n_p)
+
+    @pytest.mark.skipif(sys.platform != "linux",
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_basis_cap_under_memory_cap(self):
+        # Half rows of 4 blocks at the basis cap: memory follows the block,
+        # m (_PS_BLOCK + m) values, not the row.
+        result = subprocess.run(
+            [sys.executable, "-c", _CAPPED_PHASE_SPACE],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        finite, peak = result.stdout.split()
+        assert finite == "True"
+        assert int(peak) < 4 * 16 * _MAX_PS_BASIS * (_PS_BLOCK + _MAX_PS_BASIS)
 
     def test_small_box_warns(self):
         with pytest.warns(TruncationWarning):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
     "replay_parity", ROOT / "tools" / "replay_parity.py")
@@ -119,3 +121,43 @@ def test_replay_compares_the_out_file(tmp_path):
          "--jobs", "1"], capture_output=True, text=True, timeout=300)
     assert result.returncode == 1
     assert "file differs" in result.stdout
+
+
+def test_value_gap_reads_dtype_and_shape():
+    old = replay_parity._encode(np.full((2, 3), 1.0 + 0.0j))
+    new = replay_parity._encode(np.full((2, 3), 1.0) + [0.0, 0.0, 2.5e-7])
+    assert (old["dtype"], old["shape"]) == ("complex128", [2, 3])
+    assert (new["dtype"], new["shape"]) == ("float64", [2, 3])
+    assert replay_parity._value_gap(old, new) == abs((1.0 + 2.5e-7) - 1.0)
+    assert replay_parity._value_gap(old, old) is None
+    assert replay_parity._value_gap(old, None) is None
+    assert replay_parity._value_gap(
+        old, replay_parity._encode(np.ones(6))) is None
+    assert replay_parity._value_gap(
+        replay_parity._encode(2.0), replay_parity._encode(-1.5)) == 3.5
+
+
+def test_replay_prints_the_largest_value_difference(tmp_path):
+    # A tree whose phase-space check is shifted by 2.5e-7 differs only in
+    # that value; the replay names the kind, the dtype, the shape and the
+    # largest difference. Seed 3 draws a phase_space job second.
+    other = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", other / "src")
+    module = other / "src" / "morsecs" / "coherent.py"
+    module.write_text(module.read_text() + (
+        "\n\n_check = phase_space_measure_check\n\n\n"
+        "def phase_space_measure_check(*args, **kwargs):\n"
+        "    return _check(*args, **kwargs) + 2.5e-7\n"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "replay_parity.py"),
+         str(ROOT), str(other), "--workload", "states", "--seeds", "3",
+         "--jobs", "2"], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1
+    lines = result.stdout.splitlines()
+    gap = [line for line in lines if line.startswith("largest")]
+    assert len(gap) == 1 and gap[0].startswith(
+        "largest |old - new| of phase_space values: ")
+    assert abs(float(gap[0].rsplit(maxsplit=1)[1]) - 2.5e-7) < 1e-12
+    value = [line for line in lines if line.startswith("  value: ")]
+    assert value[0].startswith("  value: old float64 [")
+    assert "max |old - new| 2.500e-07" in value[0]

@@ -8,20 +8,22 @@ read-only and seeded the way the benchmark worker seeds them; each tree
 runs, in its own child process with PYTHONPATH=<tree>/src, every named
 workload (all three by default) in turn: its untimed warm-up jobs, then the
 first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
-and stderr; library jobs on np.asarray(value).tobytes(), the
-TruncationWarning flag and any escaped exception. Every run also replays
-FIXED, a list of argvs the benchmark does not draw (the JSON reports, with
-exponent cells, a tiny imaginary part, one `ham` coupling and 512 levels
-among them, `ham`, `verify --quick` in each format, `displace` at orders
-not divisible by 3, at a zero angle and with a truncated intermediate
-state, `spectrum` with 512 levels and at integer s with 4 and 512 levels,
-a radial rule at b = -0.98, a report written with --out, whose file is
-compared too, CSV cells with exponents from e-09 to e+17, `ham` with one
-super-diagonal cell, `basis` and `wavefunction` reports with non-finite
-cells (exit 2), argument errors, `--version`, and `--help` of the program
-and of every command), as a table named "fixed". Prints, per workload, a
-table of identical and differing counts per job kind and the first
-difference; exits 1 on any difference.
+and stderr; library jobs on np.asarray(value).tobytes() with its dtype and
+shape, the TruncationWarning flag and any escaped exception. Every run
+also replays FIXED, a list of argvs the benchmark does not draw (the JSON
+reports, with exponent cells, a tiny imaginary part, one `ham` coupling and
+512 levels among them, `ham`, `verify --quick` in each format, `displace`
+at orders not divisible by 3, at a zero angle and with a truncated
+intermediate state, `spectrum` with 512 levels and at integer s with 4 and
+512 levels, a radial rule at b = -0.98, a report written with --out, whose
+file is compared too, CSV cells with exponents from e-09 to e+17, `ham`
+with one super-diagonal cell, `basis` and `wavefunction` reports with
+non-finite cells (exit 2), argument errors, `--version`, and `--help` of
+the program and of every command), as a table named "fixed". Prints, per
+workload, a table of identical and differing counts per job kind, the
+largest |old - new| over the differing values of each kind where both
+sides have the same shape, and the first difference; exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 FIELDS = ("error", "code", "stdout", "stderr", "file", "value", "warned")
@@ -108,13 +112,34 @@ FIXED = (
 )
 
 
+def _encode(value) -> dict | None:
+    """A library value as JSON: its bytes in hex, its dtype and shape."""
+    if value is None:
+        return None
+    value = np.asarray(value)
+    return {"hex": value.tobytes().hex(), "dtype": str(value.dtype),
+            "shape": list(value.shape)}
+
+
+def _spell(value: dict | None) -> str:
+    return "None" if value is None else f"{value['dtype']} {value['shape']}"
+
+
+def _value_gap(old: dict | None, new: dict | None) -> float | None:
+    """Largest |old - new| of two encoded values that differ; None when
+    they are equal, either is missing, or their shapes differ."""
+    if old == new or None in (old, new) or old["shape"] != new["shape"]:
+        return None
+    a, b = (np.frombuffer(bytes.fromhex(v["hex"]), v["dtype"]).astype(complex)
+            for v in (old, new))
+    return float(np.abs(a - b).max(initial=0.0))
+
+
 def _child(names: list[str], seeds: list[int], n_jobs: int,
            out_path: str) -> None:
     import itertools
     import random
     import time
-
-    import numpy as np
 
     sys.path.insert(0, str(PERFBENCH))
     import morsecs
@@ -125,9 +150,7 @@ def _child(names: list[str], seeds: list[int], n_jobs: int,
                 "error": (out.error.strip().splitlines()[-1]
                           if out.error is not None else None),
                 "code": out.code, "stdout": out.stdout, "stderr": out.stderr,
-                "file": file,
-                "value": (np.asarray(out.value).tobytes().hex()
-                          if out.value is not None else None),
+                "file": file, "value": _encode(out.value),
                 "warned": out.warned}
 
     clock = time.perf_counter_ns
@@ -184,7 +207,12 @@ def _describe(old: dict, new: dict) -> str:
     for field in FIELDS:
         if old[field] == new[field]:
             continue
-        if isinstance(old[field], str) and isinstance(new[field], str):
+        if field == "value":
+            gap = _value_gap(old[field], new[field])
+            tail = "" if gap is None else f", max |old - new| {gap:.3e}"
+            lines.append(f"  value: old {_spell(old[field])}, "
+                         f"new {_spell(new[field])}{tail}")
+        elif isinstance(old[field], str) and isinstance(new[field], str):
             lines.append(f"  {field} differs at "
                          f"{_first_line_diff(old[field], new[field])}")
         else:
@@ -215,16 +243,23 @@ def main(argv=None) -> int:
             print(f"\nworkload {workload}, seeds "
                   f"{' '.join(map(str, args.seeds))}, first {args.jobs} jobs each")
         counts: dict[str, list[int]] = {}
+        gaps: dict[str, float] = {}
         first = None
         for a, b in zip(old["records"][workload], new["records"][workload],
                         strict=True):
+            kind = a["job"]["kind"]
             same = all(a[f] == b[f] for f in FIELDS)
-            counts.setdefault(a["job"]["kind"], [0, 0])[0 if same else 1] += 1
+            counts.setdefault(kind, [0, 0])[0 if same else 1] += 1
+            gap = _value_gap(a["value"], b["value"])
+            if gap is not None:
+                gaps[kind] = max(gaps.get(kind, 0.0), gap)
             if not same and first is None:
                 first = _describe(a, b)
         print(f"{'kind':<14}{'identical':>10}{'differing':>10}")
         for kind in sorted(counts):
             print(f"{kind:<14}{counts[kind][0]:>10}{counts[kind][1]:>10}")
+        for kind in sorted(gaps):
+            print(f"largest |old - new| of {kind} values: {gaps[kind]:.3e}")
         if first is None:
             print("all jobs identical")
         else:
