@@ -205,7 +205,7 @@ def _cmd_spectrum(args):
     s = args.s
     levels = operators.bound_spectrum(s)
     count = len(levels)
-    threshold = morse_core.ShapeParams(s).continuum_threshold
+    threshold = morse_core.continuum_threshold(s)
     formulas = np.array([morse_core.bound_energy(k, s) for k in range(count)])
     print("bound levels from level-adapted tridiagonal blocks at sigma = s - n",
           file=sys.stderr)

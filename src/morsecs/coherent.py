@@ -27,7 +27,8 @@ import scipy.special
 from .errors import (CapabilityError, ConsistencyError, DomainError,
                      TruncationWarning)
 from .morse_core import (_check_s, _check_y, _log_basis_norm,
-                         _log_basis_norms, ground_x_expectation, y_from_x)
+                         _log_basis_norms, _log_envelope,
+                         ground_x_expectation, y_from_x)
 from .numerics import (SymTridiagonal, gauss_laguerre_rule, laguerre_sequence,
                        symtridiag_eigen)
 from .operators import _band_entries
@@ -281,24 +282,34 @@ def phase_factor(label, s: float) -> complex:
 _EXPECT_TOL = 1e-8
 
 
-def _expectation_quadrature(beta: complex, s: float):
+def _expectation_pairs(label, s: float):
+    # ((<X> formula, quadrature), (<P> formula, quadrature)) in |beta>.
     # Trapezoid in x around the density's center; the integrand decays
     # double-exponentially to the left and like e^{-2s(x - x_c)} to the
     # right, so this converges spectrally. Window and resolution are fixed
     # for determinism.
-    w = _w_of(beta)
-    x_c = math.log(w.real)
-    x = np.linspace(x_c - 9.0, x_c + 36.0, 4001)
+    label = _as_label(label)
+    s = _check_s(s)
+    ps = to_phase_space(label, s)
+    w = _w_of(label.beta)
+    x = np.linspace(ps.x_tilde - 9.0, ps.x_tilde + 36.0, 4001)
     h = x[1] - x[0]
     y = y_from_x(x)
-    phi = wavefunction_closed(beta, s, y)
+    phi = wavefunction_closed(label, s, y)
     dens = (phi.conj() * phi).real
     norm = np.trapezoid(dens, dx=h)
     mean_x = np.trapezoid(x * dens, dx=h)
-    mean_y = np.trapezoid(y * dens, dx=h)
     # <P> from i y d/dy acting on the closed form: y phi' = (s - y w/2) phi.
-    mean_p = 0.5 * w.imag * mean_y
-    return norm, mean_x, mean_p
+    mean_p = 0.5 * w.imag * np.trapezoid(y * dens, dx=h)
+    return ((ps.x_tilde + ground_x_expectation(s), mean_x / norm),
+            (ps.p_tilde, mean_p / norm))
+
+
+def _checked(name: str, value: float, quad: float) -> float:
+    if abs(quad - value) > _EXPECT_TOL:
+        raise ConsistencyError(
+            f"{name} formula {value} vs quadrature {quad} disagree")
+    return value
 
 
 def expectation_X(label, s: float) -> float:
@@ -308,28 +319,12 @@ def expectation_X(label, s: float) -> float:
     call; disagreement beyond 1e-8 raises, since it would mean the closed
     form and the wavefunction have drifted apart.
     """
-    label = _as_label(label)
-    s = _check_s(s)
-    value = to_phase_space(label, s).x_tilde + ground_x_expectation(s)
-    norm, mean_x, _ = _expectation_quadrature(label.beta, s)
-    quad = mean_x / norm
-    if abs(quad - value) > _EXPECT_TOL:
-        raise ConsistencyError(
-            f"<X> formula {value} vs quadrature {quad} disagree")
-    return value
+    return _checked("<X>", *_expectation_pairs(label, s)[0])
 
 
 def expectation_P(label, s: float) -> float:
     """<P> in |beta>: exactly p_tilde; quadrature-checked like expectation_X."""
-    label = _as_label(label)
-    s = _check_s(s)
-    value = to_phase_space(label, s).p_tilde
-    norm, _, mean_p = _expectation_quadrature(label.beta, s)
-    quad = mean_p / norm
-    if abs(quad - value) > _EXPECT_TOL:
-        raise ConsistencyError(
-            f"<P> formula {value} vs quadrature {quad} disagree")
-    return value
+    return _checked("<P>", *_expectation_pairs(label, s)[1])
 
 
 def _jacobi01_rule(n: int, b: float, a: float = 0.0):
@@ -748,7 +743,7 @@ def project_onto_basis(wavefunction, s: float, n_terms: int,
     lag = laguerre_sequence(n_terms - 1, 2.0 * s - 1.0, y)
     rows = lag * np.exp(_log_basis_norms(n_terms, s))[:, None]
     with np.errstate(over="ignore"):
-        strip = f_vals * np.exp(0.5 * y - s * np.log(y))
+        strip = f_vals * np.exp(-_log_envelope(s, y))
     if not np.all(np.isfinite(strip)):
         raise DomainError(
             "wavefunction values overflow once the basis envelope is "

@@ -27,7 +27,6 @@ from .errors import DomainError, MarginalStateWarning
 from .numerics import _laguerre_rows, digamma, laguerre_sequence, log_gamma
 
 __all__ = [
-    "ShapeParams",
     "LogGrid",
     "y_from_x",
     "x_from_y",
@@ -37,6 +36,7 @@ __all__ = [
     "pseudo_wavefunction_recursive",
     "ground_energy",
     "bound_state_count",
+    "continuum_threshold",
     "bound_energy",
     "ground_x_expectation",
     "apply_operator_fd",
@@ -58,33 +58,6 @@ def _check_y(y) -> np.ndarray:
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise DomainError("y must be positive and finite")
     return y
-
-
-@dataclass(frozen=True)
-class ShapeParams:
-    """The dimensionless shape parameter s > 0 and its derived constants.
-
-    A normalizable ground state exists for every s > 0; the resolution of
-    unity over coherent-state labels additionally needs s > 1/2, which is
-    enforced where it matters rather than here.
-    """
-
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", _check_s(self.s))
-
-    @property
-    def ground_state_energy(self) -> float:
-        return ground_energy(self.s)
-
-    @property
-    def continuum_threshold(self) -> float:
-        return (self.s + 0.5) ** 2
-
-    @property
-    def n_bound(self) -> int:
-        return bound_state_count(self.s)
 
 
 @dataclass(frozen=True)
@@ -159,7 +132,8 @@ def _log_basis_norm(n: int, s: float) -> float:
 
 
 def _log_basis_norms(n_terms: int, s: float) -> np.ndarray:
-    # _log_basis_norm(n, s) for n < n_terms, to the bit; s passed _check_s.
+    # _log_basis_norm(n, s) for n < n_terms, to the bit.
+    s = _check_s(s)
     n = np.arange(n_terms, dtype=float)
     return -0.5 * (np.array(list(map(math.lgamma, (n + 2.0 * s).tolist())))
                    - np.array(list(map(math.lgamma, (n + 1.0).tolist()))))
@@ -259,6 +233,11 @@ def bound_state_count(s: float) -> int:
     return int(math.floor(s + 1.0))
 
 
+def continuum_threshold(s: float) -> float:
+    """(s + 1/2)^2, the bottom of the continuum."""
+    return (_check_s(s) + 0.5) ** 2
+
+
 def bound_energy(n: int, s: float) -> float:
     """Bound-state energy E_n(s) = s + 1/4 + n(2s - n).
 
@@ -309,8 +288,6 @@ def apply_operator_fd(op: str, samples, grid: LogGrid, s: float,
     f = np.asarray(samples)
     if f.ndim != 1 or f.size != grid.n_points:
         raise DomainError("samples must be 1-d over the full grid")
-    if grid.n_points < 5:
-        raise DomainError("need at least 5 points for the composed stencils")
     x = grid.x
     h = grid.h
     expn = np.exp(-x)

@@ -48,7 +48,7 @@ def _above(name: str, residual: float, tolerance: float) -> CheckResult:
 def _check_gram(quick: bool):
     s, n_basis = 1.75, (12 if quick else 30)
     rule = numerics.gauss_laguerre_rule(128 if quick else 200, 2.0 * s - 1.0)
-    env = np.exp(s * np.log(rule.nodes) - 0.5 * rule.nodes)
+    env = np.exp(morse_core._log_envelope(s, rule.nodes))
     rows = morse_core.pseudo_wavefunctions(n_basis, s, rule.nodes) / env
     gram = (rows * rule.weights) @ rows.T
     dev = np.abs(gram - np.eye(n_basis + 1)).max()
@@ -123,7 +123,7 @@ def _check_spectrum(quick: bool):
     gap = float(np.abs(eigs[1:4] - alt[1:4]).min())
     yield _above("variant s + 1/4 + n(2s - n) + n rejected by Ritz data "
                  "(gap must exceed tolerance)", gap, 0.5)
-    thr = morse_core.ShapeParams(s).continuum_threshold
+    thr = morse_core.continuum_threshold(s)
     yield _below("continuum threshold equals (s + 1/2)^2",
                  abs(thr - (s + 0.5) ** 2), 0.0)
 
@@ -156,13 +156,11 @@ def _check_coherent(quick: bool):
         rt = max(rt, abs(back.beta - lb))
     yield _below("phase-space relabeling round-trips", rt, 1e-13)
 
-    norm, mean_x, mean_p = coherent._expectation_quadrature(0.3 + 0.2j, s)
-    ps = coherent.to_phase_space(0.3 + 0.2j, s)
-    x_f = ps.x_tilde + morse_core.ground_x_expectation(s)
+    (x_f, x_q), (p_f, p_q) = coherent._expectation_pairs(0.3 + 0.2j, s)
     yield _below("position expectation matches quadrature",
-                 abs(mean_x / norm - x_f), 1e-8)
+                 abs(x_q - x_f), 1e-8)
     yield _below("momentum expectation matches quadrature",
-                 abs(mean_p / norm - ps.p_tilde), 1e-8)
+                 abs(p_q - p_f), 1e-8)
 
 
 def _check_resolutions(quick: bool):

@@ -19,7 +19,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from morsecs import coherent
+from morsecs import coherent, verify
 from morsecs.coherent import (
     _PS_BLOCK,
     _log_binom_sqrt,
@@ -299,6 +299,32 @@ class TestExpectations:
         monkeypatch.setattr(mod, "ground_x_expectation", lambda s: 1e3)
         with pytest.raises(ConsistencyError):
             expectation_X(0.3, 1.0)
+
+    @pytest.mark.parametrize("drifted", [0, 1])
+    def test_library_and_verify_read_one_pair(self, monkeypatch, drifted):
+        # One (formula, quadrature) pair per moment serves expectation_X/P
+        # and verify's rows: a formula drifted by 1e-6 fails both.
+        pairs = coherent._expectation_pairs
+
+        def drift(label, s):
+            out = [list(pair) for pair in pairs(label, s)]
+            out[drifted][0] += 1e-6
+            return out
+
+        monkeypatch.setattr(coherent, "_expectation_pairs", drift)
+        rows = {r.name: r for r in verify._check_coherent(quick=True)}
+        checks = [(rows["position expectation matches quadrature"],
+                   expectation_X),
+                  (rows["momentum expectation matches quadrature"],
+                   expectation_P)]
+        for moment, (row, expectation) in enumerate(checks):
+            if moment == drifted:
+                assert not row.passed and abs(row.residual - 1e-6) < 1e-8
+                with pytest.raises(ConsistencyError):
+                    expectation(0.3 + 0.2j, 1.75)
+            else:
+                assert row.passed
+                expectation(0.3 + 0.2j, 1.75)
 
 
 def direct_scipy_jacobi01_rule(n, b):

@@ -8,10 +8,10 @@ from morsecs.morse_core import (
     LogGrid,
     _log_basis_norm,
     _log_basis_norms,
-    ShapeParams,
     apply_operator_fd,
     bound_energy,
     bound_state_count,
+    continuum_threshold,
     ground_energy,
     ground_x_expectation,
     norm_coefficient,
@@ -53,17 +53,14 @@ class TestCoordinateMaps:
             pseudo_wavefunction(0, 1.75, y)
 
 
-class TestShapeParams:
-    def test_derived_constants(self):
-        p = ShapeParams(3.6)
-        assert p.ground_state_energy == 3.85
-        assert abs(p.continuum_threshold - 16.81) < 1e-14
-        assert p.n_bound == 4
+class TestContinuumThreshold:
+    def test_value(self):
+        assert abs(continuum_threshold(3.6) - 16.81) < 1e-14
 
     def test_validation(self):
         for bad in (0.0, -1.0, math.inf):
             with pytest.raises(DomainError):
-                ShapeParams(bad)
+                continuum_threshold(bad)
 
 
 class TestNormCoefficient:
@@ -87,6 +84,13 @@ class TestLogBasisNorms:
             want = np.array([_log_basis_norm(n, s) for n in range(2001)])
             assert _log_basis_norms(2001, s).tobytes() == want.tobytes(), s
         assert _log_basis_norms(0, 1.75).shape == (0,)
+
+    def test_shape_parameter_checked(self):
+        # Unchecked, nan gave a nan row, inf a row of -inf, -0.75 finite
+        # values and -1 and 0 a bare ValueError from lgamma's pole.
+        for bad in (math.nan, math.inf, -0.75, -1.0, 0.0):
+            with pytest.raises(DomainError):
+                _log_basis_norms(3, bad)
 
 
 class TestPseudoWavefunction:

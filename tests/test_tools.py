@@ -1,5 +1,6 @@
 """Repository tooling: the parity replay script."""
 
+import argparse
 import importlib.util
 import shutil
 import subprocess
@@ -106,6 +107,27 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # The help screen of the program and of every command.
     assert {a for a in argvs if a.endswith("--help")} == {"--help"} | {
         f"{command} --help" for command in table_commands}
+
+
+def test_replay_children_run_on_one_blas_thread(monkeypatch, tmp_path):
+    # Whatever the caller has, each tree's child runs with the benchmark
+    # workers' BLAS setting. The child here reports what it sees.
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "2")
+    probe = ("import json, os, sys; json.dump({n: os.environ.get(n) for n "
+             "in sys.argv[2:]}, open(sys.argv[1], 'w'))")
+    run = subprocess.run
+
+    def child(cmd, env, check):
+        # cmd is [python, script, "--child", out_path, ...].
+        return run([sys.executable, "-c", probe, cmd[3], *names], env=env,
+                   check=check)
+
+    monkeypatch.setattr(replay_parity.subprocess, "run", child)
+    args = argparse.Namespace(workload=["states"], jobs=1, seeds=[1])
+    seen = replay_parity._replay(ROOT, args, str(tmp_path / "env.json"))
+    assert seen == dict.fromkeys(names, "1")
 
 
 def test_replay_compares_the_out_file(tmp_path):

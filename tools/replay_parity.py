@@ -5,9 +5,11 @@
 OLD and NEW are checkouts of this repository (each with a src/ directory).
 The jobs come from this repository's perfbench/workloads.py, imported
 read-only and seeded the way the benchmark worker seeds them; each tree
-runs, in its own child process with PYTHONPATH=<tree>/src, every named
-workload (all three by default) in turn: its untimed warm-up jobs, then the
-first --jobs jobs of every seed. CLI jobs are compared on exit code, stdout
+runs, in its own child process with PYTHONPATH=<tree>/src and one BLAS
+thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1,
+as in the benchmark's workers), every named workload (all three by
+default) in turn: its untimed warm-up jobs, then the first --jobs jobs of
+every seed. CLI jobs are compared on exit code, stdout
 and stderr; library jobs on np.asarray(value).tobytes() with its dtype and
 shape, the TruncationWarning flag and any escaped exception. Every run
 also replays FIXED, a list of argvs the benchmark does not draw (the JSON
@@ -182,7 +184,11 @@ def _child(names: list[str], seeds: list[int], n_jobs: int,
 
 
 def _replay(tree: Path, args, out_path: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    # One BLAS thread, as the benchmark's workers run: displace bits
+    # depend on the thread count.
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, __file__, "--child", out_path,
                     ",".join(args.workload), str(args.jobs),
                     *map(str, args.seeds)],
