@@ -70,6 +70,8 @@ def _parse_grid(text: str) -> tuple[list, np.ndarray]:
         raise DomainError(f"cannot parse grid from {text!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or count < 2:
         raise DomainError("--grid needs finite min < max and count >= 2")
+    if not math.isfinite(hi - lo):
+        raise DomainError("--grid span max - min must be finite")
     if count > _MAX_GRID_POINTS:
         raise CapabilityError(
             f"grid of {count} points exceeds the supported maximum "

@@ -444,6 +444,9 @@ def _check_ps_args(s, m_basis, box) -> tuple[float, int, float, float]:
     # The sum takes e^{+-x} at the box edge, which overflows past x ~ 709.8.
     if not (box_x < 709.0 and math.isfinite(box_q)):
         raise DomainError("box extents must be finite, with box[0] < 709")
+    # The q spacing is 2 box[1] / (n_p - 1).
+    if not math.isfinite(2.0 * box_q):
+        raise DomainError("box[1] must not exceed half the largest float")
     return s, m_basis, box_x, box_q
 
 

@@ -43,7 +43,7 @@ __all__ = [
     "shape_invariance_residual",
 ]
 
-_FD_OPS = ("A", "Adag", "H", "Hp")
+_FD_OPS = ("A", "Adag", "H")
 
 
 def _check_s(s: float) -> float:
@@ -73,6 +73,8 @@ class LogGrid:
             raise DomainError("grid endpoints must be finite")
         if self.x_min >= self.x_max:
             raise DomainError("x_min must be < x_max")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise DomainError("grid span x_max - x_min must be finite")
         if int(self.n_points) < 16:
             raise DomainError("grid needs at least 16 points")
         object.__setattr__(self, "n_points", int(self.n_points))
@@ -128,6 +130,7 @@ def _log_envelope(s: float, y: np.ndarray) -> np.ndarray:
 
 def _log_basis_norm(n: int, s: float) -> float:
     # ln of phi_n's normalizer 1 / sqrt(Gamma(n+2s) / n!).
+    s = _check_s(s)
     return -0.5 * (log_gamma(n + 2.0 * s) - log_gamma(n + 1.0))
 
 
@@ -267,22 +270,17 @@ def _d2(f: np.ndarray, h: float) -> np.ndarray:
     return (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (h * h)
 
 
-def apply_operator_fd(op: str, samples, grid: LogGrid, s: float,
-                      k: int = 0) -> np.ndarray:
-    """Apply A(s+k), Adag(s+k), H(s), or Hp(s) by central finite differences.
+def apply_operator_fd(op: str, samples, grid: LogGrid, s: float) -> np.ndarray:
+    """Apply A(s), Adag(s) or H(s) by central finite differences.
 
     `samples` are function values on the full grid; the result lives on the
-    interior (one layer trimmed for the first-order operators and H, two
-    layers for Hp, which is evaluated as the composition A(Adag f) plus the
-    ground energy). Accuracy is O(h^2) in the grid spacing. Hp is the
-    shape-invariance partner A(s) Adag(s) + E_0(s).
+    interior, one layer trimmed. Accuracy is O(h^2) in the grid spacing. A
+    ladder operator at a shifted parameter, A(s + k), is A at shape
+    parameter s + k.
     """
     s = _check_s(s)
     if op not in _FD_OPS:
         raise DomainError(f"unknown operator code {op!r}")
-    k = int(k)
-    if op in ("H", "Hp") and k != 0:
-        raise DomainError("the parameter shift k applies to ladder operators only")
     if not isinstance(grid, LogGrid):
         raise DomainError("expected a LogGrid")
     f = np.asarray(samples)
@@ -292,29 +290,32 @@ def apply_operator_fd(op: str, samples, grid: LogGrid, s: float,
     h = grid.h
     expn = np.exp(-x)
     if op == "A":
-        return (s + k - expn[1:-1]) * f[1:-1] + _d1(f, h)
+        return (s - expn[1:-1]) * f[1:-1] + _d1(f, h)
     if op == "Adag":
-        return (s + k - expn[1:-1]) * f[1:-1] - _d1(f, h)
-    if op == "H":
-        return -_d2(f, h) + (s + 0.5 - expn[1:-1]) ** 2 * f[1:-1]
-    # Hp: g = Adag(s) f on the first interior, then A(s) g on the second.
-    g = (s - expn[1:-1]) * f[1:-1] - _d1(f, h)
-    inner = (s - expn[2:-2]) * g[1:-1] + _d1(g, h)
-    return inner + ground_energy(s) * f[2:-2]
+        return (s - expn[1:-1]) * f[1:-1] - _d1(f, h)
+    return -_d2(f, h) + (s + 0.5 - expn[1:-1]) ** 2 * f[1:-1]
 
 
 def shape_invariance_residual(s: float, grid: LogGrid, samples) -> float:
     """Max-norm of [A(s) Adag(s) + E_0(s)] f - [H(s-1) + 2s] f.
 
-    The two sides agree identically for the Morse family; what is measured
-    here is pure finite-difference error, so the residual contracts as
-    O(h^2) under grid refinement. Requires s > 1 so the shifted parameter
-    stays in domain.
+    The partner side applies apply_operator_fd's Adag(s) on `grid`, then its
+    A(s) on the grid of the interior points, so both sides live two layers
+    in. The two sides agree identically for the Morse family; what is
+    measured here is pure finite-difference error, so the residual
+    contracts as O(h^2) under grid refinement. Requires s > 1 so the
+    shifted parameter stays in domain, and 18 grid points so the interior
+    grid has LogGrid's 16.
     """
     s = _check_s(s)
     if s <= 1.0:
         raise DomainError("shape invariance check needs s > 1")
     f = np.asarray(samples)
-    lhs = apply_operator_fd("Hp", f, grid, s)
+    g = apply_operator_fd("Adag", f, grid, s)
+    if grid.n_points < 18:
+        raise DomainError("shape invariance check needs at least 18 grid points")
+    x = grid.x
+    inner = LogGrid(x[1], x[-2], grid.n_points - 2)
+    lhs = apply_operator_fd("A", g, inner, s) + ground_energy(s) * f[2:-2]
     rhs = apply_operator_fd("H", f, grid, s - 1.0)[1:-1] + 2.0 * s * f[2:-2]
     return float(np.abs(lhs - rhs).max())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapabilityError, DomainError
-from .morse_core import (LogGrid, _check_s, apply_operator_fd,
+from .morse_core import (_FD_OPS, LogGrid, _check_s, apply_operator_fd,
                          bound_state_count, pseudo_wavefunction)
 from .numerics import SymTridiagonal, symtridiag_eigen
 
@@ -160,9 +160,6 @@ def bound_spectrum(s: float) -> np.ndarray:
                      for n in range(count)])
 
 
-_ORACLE_OPS = ("A", "Adag", "H")
-
-
 def matrix_element_oracle(m: int, n: int, op: str, s: float,
                           x_min: float = -7.5, x_max: float = 9.0,
                           n_points: int = 2001):
@@ -175,7 +172,7 @@ def matrix_element_oracle(m: int, n: int, op: str, s: float,
     |value_h - value_2h|, an h^2-scaled bracket of the stencil error: a
     coarse grid shows up as a wide bar rather than a silently wrong number.
     """
-    if op not in _ORACLE_OPS:
+    if op not in _FD_OPS:
         raise DomainError(f"unsupported operator code {op!r}")
     m = int(m)
     n = int(n)

@@ -339,6 +339,20 @@ class TestWavefunction:
         assert result.stderr.startswith("morsecs: ")
         assert result.stderr.count("\n") == 1, result.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--s", "1.75"),
+        ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "5"),
+        ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "5",
+         "--format", "json")])
+    def test_overflowing_grid_span_is_one_line_domain_error(self, argv):
+        # Finite endpoints whose span overflows: linspace's max - min was
+        # inf, and two NumPy warnings came before the refusal.
+        result = run_process(*argv, "--grid", "-1e308:1e308:3")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "morsecs: --grid span max - min must be finite\n")
+
 
 class TestResolution:
     def test_deviation_report(self, capsys):

@@ -598,8 +598,9 @@ class TestPhaseSpaceMeasure:
         (10 ** 9, (8.0, 80.0), {"n_x": 10, "n_p": 10}),
         (2, (8.0, 80.0), {"n_x": 2, "n_p": _MAX_PS_NODES // 2 + 1}),
         (2, (8.0, 80.0), {"n_x": 10 ** 9, "n_p": 10 ** 9}),
-        # Default node counts past float range are clipped, not int()ed.
-        (2, (8.0, 1e308), {}),
+        # Default node counts past float range are clipped, not int()ed:
+        # 8 box[1] overflows, while box[1] itself is a legal extent.
+        (2, (8.0, 8e307), {}),
     ])
     def test_sizes_beyond_caps_are_capability_errors(self, m_basis, box,
                                                      nodes):
@@ -701,8 +702,10 @@ class TestPhaseSpaceMeasure:
         with pytest.raises(DomainError):
             phase_space_measure_check(0.5, 4)
 
+    # At (8, 1e308) the q spacing 2 box[1] / (n_p - 1) overflowed and the
+    # check returned nan.
     @pytest.mark.parametrize("box", [(800.0, 80.0), (math.nan, 80.0),
-                                     (8.0, math.inf)])
+                                     (8.0, math.inf), (8.0, 1e308)])
     def test_box_beyond_float_range_rejected(self, box):
         with pytest.raises(DomainError):
             phase_space_measure_check(1.75, 2, box=box, n_x=10, n_p=10)
@@ -710,7 +713,8 @@ class TestPhaseSpaceMeasure:
     @pytest.mark.parametrize("m_basis,box", [
         (0, (8.0, 80.0)), (-3, (8.0, 80.0)), (2, (800.0, 80.0)),
         (2, (math.nan, 80.0)), (2, (8.0, math.nan)), (2, (8.0, math.inf)),
-        (2, (math.inf, 80.0)), (2, (0.0, 80.0)), (2, (8.0, -1.0))])
+        (2, (math.inf, 80.0)), (2, (0.0, 80.0)), (2, (8.0, -1.0)),
+        (2, (8.0, 1e308))])
     def test_tail_estimate_rejects_what_the_check_rejects(self, m_basis, box):
         # The estimate and the check refuse the same arguments, each with
         # a DomainError, and the estimate never answers nan.

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from morsecs import morse_core
 from morsecs.errors import DomainError, MarginalStateWarning
 from morsecs.morse_core import (
     LogGrid,
@@ -91,6 +92,8 @@ class TestLogBasisNorms:
         for bad in (math.nan, math.inf, -0.75, -1.0, 0.0):
             with pytest.raises(DomainError):
                 _log_basis_norms(3, bad)
+            with pytest.raises(DomainError):
+                _log_basis_norm(2, bad)
 
 
 class TestPseudoWavefunction:
@@ -273,8 +276,9 @@ class TestFiniteDifferenceOperators:
         s = 1.2
         grid = LogGrid(-3.0, 10.0, 101)
         f = pseudo_wavefunction(0, s, grid.y)
-        base = apply_operator_fd("A", f, grid, s, k=0)
-        shifted = apply_operator_fd("A", f, grid, s, k=3)
+        # A(s + k) = A(s) + k in x: a shift is the shape parameter s + k.
+        base = apply_operator_fd("A", f, grid, s)
+        shifted = apply_operator_fd("A", f, grid, s + 3)
         assert np.abs(shifted - (base + 3.0 * f[1:-1])).max() < 1e-12
 
     def test_validation(self):
@@ -283,11 +287,14 @@ class TestFiniteDifferenceOperators:
         with pytest.raises(DomainError):
             apply_operator_fd("Q", f, grid, 1.0)
         with pytest.raises(DomainError):
-            apply_operator_fd("H", f, grid, 1.0, k=1)
+            apply_operator_fd("Hp", f, grid, 1.0)
         with pytest.raises(DomainError):
             apply_operator_fd("A", f[:-1], grid, 1.0)
         with pytest.raises(DomainError):
             LogGrid(-2.0, 8.0, 10)
+        # Finite endpoints whose span overflows: h was inf and x nan.
+        with pytest.raises(DomainError, match="span"):
+            LogGrid(-1e308, 1e308, 16)
 
 
 class TestShapeInvariance:
@@ -316,3 +323,23 @@ class TestShapeInvariance:
         grid = LogGrid(-2.0, 8.0, 64)
         with pytest.raises(DomainError):
             shape_invariance_residual(0.9, grid, np.zeros(64))
+        # The partner side needs a grid of its interior points.
+        with pytest.raises(DomainError, match="at least 18"):
+            shape_invariance_residual(3.6, LogGrid(-2.0, 8.0, 17),
+                                      np.zeros(17))
+
+    def test_partner_side_runs_the_shipped_stencils(self, monkeypatch):
+        # A change to A's stencil must reach the shape-invariance check.
+        s = 3.6
+        grid = LogGrid(-1.0, 1.5, 2001)
+        f0 = pseudo_wavefunction(0, s, grid.y)
+        shipped = morse_core.apply_operator_fd
+
+        def perturbed(op, samples, g, s_):
+            out = shipped(op, samples, g, s_)
+            if op == "A":
+                out = out + 1e-3 * np.asarray(samples)[1:-1]
+            return out
+
+        monkeypatch.setattr(morse_core, "apply_operator_fd", perturbed)
+        assert shape_invariance_residual(s, grid, f0) > 1e-4

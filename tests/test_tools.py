@@ -58,10 +58,11 @@ def test_fixed_argv_list_is_replayed_on_every_run():
     # truncated intermediate state, spectrum at 512 levels and at integer
     # s with 4 and 512 levels, a radial rule at b = -0.98, one --out
     # report, CSV cells with exponents from e-09 to e+17, a padded `ham`
-    # column, two reports with non-finite cells, and the error, version
-    # and help paths of the parser: all outside the benchmark streams.
+    # column, two reports with non-finite cells, a grid whose span
+    # overflows, and the error, version and help paths of the parser: all
+    # outside the benchmark streams.
     fixed = replay_self("--workload", "states", "--jobs", "1")["fixed"]
-    assert fixed == {"--help": (1, 0), "--version": (1, 0), "basis": (6, 0),
+    assert fixed == {"--help": (1, 0), "--version": (1, 0), "basis": (7, 0),
                      "coherent": (5, 0), "displace": (5, 0), "ham": (7, 0),
                      "nosuch": (1, 0), "resolution": (3, 0),
                      "spectrum": (7, 0), "verify": (4, 0),

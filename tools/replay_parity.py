@@ -20,8 +20,9 @@ intermediate state, `spectrum` with 512 levels and at integer s with 4 and
 512 levels, a radial rule at b = -0.98, a report written with --out, whose
 file is compared too, CSV cells with exponents from e-09 to e+17, `ham`
 with one super-diagonal cell, `basis` and `wavefunction` reports with
-non-finite cells (exit 2), argument errors, `--version`, and `--help` of
-the program and of every command), as a table named "fixed". Prints, per
+non-finite cells (exit 2), a `--grid` whose span overflows, argument
+errors, `--version`, and `--help` of the program and of every command), as
+a table named "fixed". Prints, per
 workload, a table of identical and differing counts per job kind, the
 largest |old - new| over the differing values of each kind where both
 sides have the same shape, and the first difference; exits 1 on any
@@ -95,6 +96,8 @@ FIXED = (
     ("basis", "--s", "1.75", "--n-max", "250", "--grid", "-7.5:-7.4:2"),
     ("wavefunction", "--s", "1.75", "--beta", "0.3", "--n", "400",
      "--grid", "-7.5:-6:4"),
+    # Finite grid endpoints whose span overflows: one line, exit 1.
+    ("basis", "--s", "1.75", "--grid", "-1e308:1e308:3"),
     # Argument errors, version and every help screen, through the parser
     # main reuses.
     ("spectrum",),
